@@ -50,6 +50,7 @@ from pathlib import Path
 from repro import obs
 from repro.circuits import layered_random_aig
 from repro.harness import engine_scaling, format_table, write_report
+from repro.factor.factoring import clear_factor_memo
 from repro.tt.isop import clear_isop_memo
 from repro.verify import equivalent
 
@@ -65,11 +66,12 @@ def measure_circuit(
     name: str, spec: dict, workers=WORKER_COUNTS, operator: str = "refactor"
 ) -> dict:
     """`harness.engine_scaling` sweep + equivalence check per engine run."""
-    # Cold-start discipline: the ISOP memo and the metrics registry are
-    # process-wide, so without a reset an earlier operator row warms the
-    # later ones (rewrite rows timed against a refactor-heated memo, and
-    # counter deltas smeared across rows).  Every row starts cold.
+    # Cold-start discipline: the ISOP and factoring memos and the metrics
+    # registry are process-wide, so without a reset an earlier operator row
+    # warms the later ones (rewrite rows timed against a refactor-heated
+    # memo, and counter deltas smeared across rows).  Every row starts cold.
     clear_isop_memo()
+    clear_factor_memo()
     obs.reset()
     g = layered_random_aig(name=name, **spec)
     baseline, *engine_rows = engine_scaling(g, workers_list=workers, operator=operator)
@@ -274,6 +276,7 @@ def run_faults_overhead(
     name, spec = circuit
     idle_plan = ";".join(f"{site}=raise@1000000000" for site in FAULT_SITES)
     clear_isop_memo()
+    clear_factor_memo()
     obs.reset()
     g = layered_random_aig(name=name, **spec)
     run = g.clone()

@@ -37,6 +37,7 @@ from repro.cuts.reconv import reconv_cut
 from repro.engine import ResynthExecutor
 from repro.harness import format_table, write_report
 from repro.opt import RefactorParams
+from repro.factor.factoring import clear_factor_memo
 from repro.tt.isop import clear_isop_memo
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -63,8 +64,9 @@ def harvest_waves() -> list[list[tuple[int, int]]]:
 
 
 def measure(transport: str, waves) -> dict:
-    # Cold start per row: the ISOP memo and the counters are process-wide.
+    # Cold start per row: the memos and the counters are process-wide.
     clear_isop_memo()
+    clear_factor_memo()
     obs.reset()
     params = RefactorParams()
     t0 = time.perf_counter()

@@ -1,12 +1,15 @@
 """Bit-parallel simulation of AIGs.
 
-Three engines:
+Four engines:
 
 * :func:`simulate` — whole-network random/explicit simulation on NumPy
   ``uint64`` words (64 patterns per word), used by the CEC checker and the
   resubstitution divisor filter;
 * :func:`cone_truth` — exact truth table of a cut root as a Python integer
   (arbitrary precision), used by refactor/rewrite/resub resynthesis;
+* :func:`realizable_by_reuse` — the same arithmetic swept *upwards*
+  from a cut's leaves, to decide whether any existing literal already
+  computes a cut function (refactor's exact zero-budget screen);
 * :func:`batch_cone_truths` — the multi-root batch kernel: one shared
   topological pass ranks the union of many cut cones, then each cone is
   evaluated by a flat loop over its pre-ranked interior.  This replaces
@@ -159,6 +162,56 @@ def cone_truth(g: AIG, root: int, leaves: list[int]) -> int:
             b ^= ones
         values[node] = a & b
     return values[root]
+
+
+def realizable_by_reuse(g: AIG, root: int, leaves: list[int], tt: int) -> bool:
+    """Could a literal other than ``root`` compute ``tt`` over ``leaves``?
+
+    ``tt`` is ``root``'s table over ``leaves`` (:func:`cone_truth`).
+    Returns False only when no constant, no leaf literal and no node of
+    the leaves' *fanout closure* — the AND nodes whose two fanins both
+    lie in {const, leaves, closure}, grown from the leaves' fanout lists
+    without passing through ``root`` — computes ``tt`` or its complement.
+    A refactor replacement that adds no node is built from such literals
+    only, so a False answer proves that none exists
+    (:mod:`repro.opt.refactor` spells out the argument).  The sweep
+    stops at the first match.
+    """
+    n = len(leaves)
+    ones = full_mask(n)
+    inv = tt ^ ones
+    if tt == 0 or inv == 0:
+        return True
+    values: dict[int, int] = {0: 0}
+    for i, leaf in enumerate(leaves):
+        mask = var_mask(i, n)
+        if mask == tt or mask == inv:
+            return True
+        values[leaf] = mask
+
+    fanin0, fanin1, fanouts = g._fanin0, g._fanin1, g._fanouts
+    stack = list(leaves)
+    while stack:
+        for fanout in fanouts[stack.pop()]:
+            if fanout == root or fanout in values:
+                continue
+            f0, f1 = fanin0[fanout], fanin1[fanout]
+            a = values.get(f0 >> 1)
+            if a is None:
+                continue
+            b = values.get(f1 >> 1)
+            if b is None:  # revisited once its other fanin gets a value
+                continue
+            if f0 & 1:
+                a ^= ones
+            if f1 & 1:
+                b ^= ones
+            value = a & b
+            if value == tt or value == inv:
+                return True
+            values[fanout] = value
+            stack.append(fanout)
+    return False
 
 
 def batch_cone_truths(

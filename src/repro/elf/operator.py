@@ -113,7 +113,10 @@ def elf_refactor(
                     committed_features = cut_feats.features
                 collector(committed_features, committed)
         pass_span.set(
-            nodes=stats.nodes_visited, pruned=stats.pruned, commits=stats.commits
+            nodes=stats.nodes_visited,
+            pruned=stats.pruned,
+            commits=stats.commits,
+            screened=stats.fail_screened,
         )
     stats.time_total = pass_span.duration
     return stats

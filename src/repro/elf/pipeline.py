@@ -198,6 +198,7 @@ def _accumulate(total: RefactorStats, part: RefactorStats) -> None:
     total.commits += part.commits
     total.gain_total += part.gain_total
     total.fail_gain += part.fail_gain
+    total.fail_screened += part.fail_screened
     total.fail_level += part.fail_level
     total.fail_poison += part.fail_poison
     total.fail_trivial += part.fail_trivial

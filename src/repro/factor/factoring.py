@@ -6,6 +6,13 @@ F = Q*D + R, recurse.  ``good_factor`` swaps in the best kernel by
 literal savings.  The result is always checked cheaper-or-equal to the
 flat SOP form, falling back to the flat form otherwise (ABC's
 ``Dec_Factor`` has the same guarantee).
+
+The recursion is memoized process-wide: a subtree is a pure function of
+its cube list and the divisor method, and refactor re-factors the same
+sub-SOPs across the cut functions of one circuit.  Trees are immutable,
+so sharing a memoized one is invisible except in time.  The memo is
+cleared when it reaches :data:`FACTOR_MEMO_LIMIT` entries, as the ISOP
+memo is.
 """
 
 from __future__ import annotations
@@ -26,6 +33,20 @@ from .divisor import (
     weak_div,
 )
 from .tree import FactorTree
+
+FACTOR_MEMO_LIMIT = 1 << 16
+"""Entry cap of the process-wide factoring memo (cleared, not LRU)."""
+
+_MEMO: dict[tuple[tuple[int, ...], object], FactorTree] = {}
+
+
+def clear_factor_memo() -> None:
+    """Reset the process-wide factoring memo.
+
+    Results never depend on memo state; this exists so benchmarks can
+    time every mode from a cold start.
+    """
+    _MEMO.clear()
 
 
 def factor(cubes: list[int], n_vars: int | None = None, method: str = "quick") -> FactorTree:
@@ -57,6 +78,17 @@ def factor(cubes: list[int], n_vars: int | None = None, method: str = "quick") -
 def _gfactor(cubes: list[int], divisor_fn) -> FactorTree:
     if len(cubes) == 1:
         return FactorTree.from_cube(cubes[0])
+    key = (tuple(cubes), divisor_fn)  # the divisor function is the method
+    tree = _MEMO.get(key)
+    if tree is None:
+        tree = _gfactor_split(cubes, divisor_fn)
+        if len(_MEMO) >= FACTOR_MEMO_LIMIT:
+            _MEMO.clear()
+        _MEMO[key] = tree
+    return tree
+
+
+def _gfactor_split(cubes: list[int], divisor_fn) -> FactorTree:
     # Pull out the largest common cube first: F = C * F'.
     common, cube_free = sop_make_cube_free(cubes)
     if common:

@@ -193,6 +193,7 @@ def engine_scaling(
         engine_refactor,
         engine_rewrite,
     )
+    from ..factor.factoring import clear_factor_memo
     from ..opt.npn_library import NpnLibrary
     from ..opt.rewrite import rewrite as rewrite_pass
     from ..tt.isop import clear_isop_memo
@@ -235,9 +236,10 @@ def engine_scaling(
     run_baseline(g.clone())
 
     baseline_g = g.clone()
-    # Every timed run starts with a cold process-wide ISOP memo, so the
-    # comparison is mode vs mode, not cold-cache vs warm-cache.
+    # Every timed run starts with cold process-wide ISOP and factoring
+    # memos, so the comparison is mode vs mode, not cold vs warm cache.
     clear_isop_memo()
+    clear_factor_memo()
     baseline_stats = run_baseline(baseline_g)
     baseline_runtime = baseline_stats.time_total
     rows = [
@@ -256,6 +258,7 @@ def engine_scaling(
     for workers in workers_list:
         engine_g = g.clone()
         clear_isop_memo()
+        clear_factor_memo()
         stats = run_engine(engine_g, workers)
         runtime = stats.time_total
         rows.append(

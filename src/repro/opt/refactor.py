@@ -15,6 +15,26 @@ For every AND node (Algorithm 1 of the paper):
 Per-phase wall-clock buckets are recorded because the whole point of ELF
 is where refactor's time goes: most cuts fail step 3/4, and pruning them
 is the paper's contribution.
+
+ELF prunes with a classifier, which loses some commits.  This module
+also prunes losslessly, with an exact screen between steps 2 and 3.
+When the MFFC is the root alone (outside zero-cost mode), the budget is
+zero fresh nodes, and ISOP, factoring and counting are skipped unless
+:func:`~repro.aig.simulate.realizable_by_reuse` finds a literal that
+could stand in for the root (``RefactorStats.fail_screened`` counts the
+skips).  The screen is exact because a zero-cost ``count_tree`` result
+creates no virtual node, so its root is a real literal of one of three
+kinds: a constant, a leaf literal, or a structural-hash hit outside the
+MFFC whose fanins are themselves such real descriptors.  Every such
+literal lies in {const, leaves} or in the leaves' fanout closure (the AND
+nodes whose two fanins are both in {const, leaves, closure}), reached
+without passing through the root, which is forbidden.  The literal
+computes the tree's function, the cut table ``tt`` or its complement.
+So when the table is not constant, not a single leaf literal, and no
+node of that closure computes it in either phase, ``count_tree`` would
+have returned None, and the cut fails exactly as it would have.  The
+engine's commit replay receives precomputed trees and is not screened
+(see ``docs/flows.md``).
 """
 
 from __future__ import annotations
@@ -27,7 +47,7 @@ from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
 from ..aig.literal import lit_node, lit_not, make_lit
 from ..aig.mffc import mffc_nodes
-from ..aig.simulate import cone_truth, full_mask
+from ..aig.simulate import cone_truth, full_mask, realizable_by_reuse
 from ..cuts.features import CutFeatures
 from ..cuts.reconv import reconv_cut
 from ..factor.factoring import factor
@@ -61,7 +81,8 @@ class RefactorStats:
     cuts_formed: int = 0
     commits: int = 0
     gain_total: int = 0
-    fail_gain: int = 0  # resynthesis done, but not cheaper
+    fail_gain: int = 0  # no cheaper replacement found
+    fail_screened: int = 0  # zero budget, and no existing literal computes the cut
     fail_level: int = 0  # rejected by required-level check
     fail_poison: int = 0  # build would have reused the replaced root
     fail_trivial: int = 0  # degenerate cuts
@@ -75,7 +96,13 @@ class RefactorStats:
 
     @property
     def fails(self) -> int:
-        return self.fail_gain + self.fail_level + self.fail_poison + self.fail_trivial
+        return (
+            self.fail_gain
+            + self.fail_screened
+            + self.fail_level
+            + self.fail_poison
+            + self.fail_trivial
+        )
 
     @property
     def failure_rate(self) -> float:
@@ -125,7 +152,11 @@ def refactor(
             committed = refactor_node(g, node, cut, params, required, stats, cache)
             if collector is not None:
                 collector(cut.features, committed)
-        pass_span.set(nodes=stats.nodes_visited, commits=stats.commits)
+        pass_span.set(
+            nodes=stats.nodes_visited,
+            commits=stats.commits,
+            screened=stats.fail_screened,
+        )
     stats.time_total = pass_span.duration
     return stats
 
@@ -191,6 +222,7 @@ def refactor_node(
         required,
         stats,
         lambda: _resynthesize(tt, n_leaves, params, cache),
+        tt=tt,
     )
 
 
@@ -203,14 +235,17 @@ def commit_tree(
     stats: RefactorStats,
     resolve,
     dirty: set[int] | None = None,
+    tt: int | None = None,
 ) -> bool:
     """Gain-check and commit a factored replacement for ``node``.
 
     ``resolve()`` lazily supplies the ``(tree, inverted)`` pair — the
     sequential operator resynthesizes on demand, the parallel engine hands
-    over a form precomputed in a worker process.  It is only invoked when
-    the MFFC leaves any budget for new nodes, preserving the sequential
-    operator's exact skip behavior.
+    over a form precomputed in a worker process.  It is not invoked when
+    the MFFC leaves a negative budget, nor — when ``tt`` (the cut
+    function over ``leaves``) is given — when the budget is zero and
+    :func:`~repro.aig.simulate.realizable_by_reuse` proves that no
+    existing literal computes the cut (counted in ``fail_screened``).
 
     ``dirty`` — when given — accumulates the nodes this commit killed
     (drained from the graph's dirty journal), which is how the engine's
@@ -223,6 +258,15 @@ def commit_tree(
     max_added = saved if params.zero_cost else saved - 1
     best = None  # (cost, root_level, tree, inverted, existing_lit)
     level_rejected = False
+    if max_added == 0 and tt is not None:
+        t1 = time.perf_counter()
+        stats.time_resynth += t1 - t0  # the MFFC sweep
+        reusable = realizable_by_reuse(g, node, leaves, tt)
+        t0 = time.perf_counter()
+        stats.time_truth += t0 - t1  # simulation, like cone_truth
+        if not reusable:
+            stats.fail_screened += 1
+            return False
     if max_added >= 0:
         tree, inverted = resolve()
         forbidden = set(mffc)

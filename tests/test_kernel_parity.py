@@ -23,6 +23,8 @@ from repro.cuts.reconv import reconv_cut
 from repro.errors import ReproError, TruthTableError
 from repro.engine.pack import PackedTasks, WaveSegment, leaked_segments
 from repro.tt import isop, isop_exact, npn_canonize, sop_tt
+from repro.factor import factoring
+from repro.factor.factoring import clear_factor_memo, factor, verify_factoring
 from repro.tt.isop import clear_isop_memo
 from repro.tt.npn import _FULL, apply_transform, npn_canonize_scalar
 from repro.tt.truth import (
@@ -128,6 +130,24 @@ class TestIsopParity:
         assert cold == warm
         for tt, cubes in zip(tables, cold):
             assert sop_tt(cubes, 6) == tt
+
+
+class TestFactorMemo:
+    def test_memo_state_never_changes_trees(self, monkeypatch):
+        rng = random.Random(74)
+        sops = [isop_exact(tt, 7) for tt in _random_tables(rng, 7, 40)]
+        jobs = [(cubes, method) for method in ("quick", "good") for cubes in sops]
+        clear_factor_memo()
+        cold = [factor(cubes, method=method) for cubes, method in jobs]
+        warm = [factor(cubes, method=method) for cubes, method in jobs]
+        assert cold == warm
+        # A one-entry cap clears on every insert: effectively unmemoized.
+        monkeypatch.setattr(factoring, "FACTOR_MEMO_LIMIT", 1)
+        clear_factor_memo()
+        assert [factor(cubes, method=method) for cubes, method in jobs] == cold
+        assert len(factoring._MEMO) <= 1
+        for (cubes, _method), tree in zip(jobs, cold):
+            assert verify_factoring(cubes, tree, 7)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ directly from the monotonic clocks it is built on
 
 This lint walks the ASTs of ``src/repro/engine``, ``src/repro/opt``,
 ``src/repro/serve`` (the whole serving stack, the asyncio service
-included) and ``src/repro/resilience`` and fails on any call of
+included), ``src/repro/resilience``, ``src/repro/tune`` and the trees
+that hold refactor's timing buckets and kernels (``src/repro/elf``,
+``aig``, ``factor``, ``tt`` and ``cuts``), and fails on any call of
 ``time.time`` (including ``from time import time`` aliases).
 Wall-clock *timestamps* for log records or file names belong in the
 exporters and harness, which are deliberately outside the linted trees.
@@ -31,6 +33,11 @@ LINTED_TREES = (
     "src/repro/serve",
     "src/repro/resilience",
     "src/repro/tune",
+    "src/repro/elf",
+    "src/repro/aig",
+    "src/repro/factor",
+    "src/repro/tt",
+    "src/repro/cuts",
 )
 
 
