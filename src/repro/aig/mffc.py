@@ -13,6 +13,8 @@ leaves and therefore keeps them alive.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from ..errors import AigError
 from .graph import AIG
 
@@ -71,6 +73,21 @@ def mffc_nodes(g: AIG, root: int, boundary: set[int] | None = None) -> list[int]
     if restored != len(freed):  # pragma: no cover - structural corruption
         raise AssertionError("mffc ref/deref mismatch")
     return freed
+
+
+def mffc_is_root_alone(g: AIG, root: int, boundary: Container[int] = ()) -> bool:
+    """Is ``root``'s MFFC the root alone, without sweeping it?
+
+    True exactly when each fanin is a primary input, shared (referenced
+    more than once) or in ``boundary``, i.e. when
+    ``mffc_nodes(g, root, boundary) == [root]``.
+    """
+    fanin0, refs = g._fanin0, g._refs
+    for lit in (fanin0[root], g._fanin1[root]):
+        fanin = lit >> 1
+        if fanin0[fanin] >= 0 and refs[fanin] == 1 and fanin not in boundary:
+            return False
+    return True
 
 
 def mffc_size(g: AIG, root: int, boundary: set[int] | None = None) -> int:

@@ -1,6 +1,6 @@
 """Bit-parallel simulation of AIGs.
 
-Four engines:
+Five engines:
 
 * :func:`simulate` — whole-network random/explicit simulation on NumPy
   ``uint64`` words (64 patterns per word), used by the CEC checker and the
@@ -10,6 +10,10 @@ Four engines:
 * :func:`realizable_by_reuse` — the same arithmetic swept *upwards*
   from a cut's leaves, to decide whether any existing literal already
   computes a cut function (refactor's exact zero-budget screen);
+* :class:`TwinScreen` — a per-pass table of 64-bit random-simulation
+  signatures of every node, which tells whether any other node may
+  compute a root's function (the exact cost-0 bound of rewrite and
+  refactor);
 * :func:`batch_cone_truths` — the multi-root batch kernel: one shared
   topological pass ranks the union of many cut cones, then each cone is
   evaluated by a flat loop over its pre-ranked interior.  This replaces
@@ -20,6 +24,8 @@ Four engines:
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from ..errors import TruthTableError
@@ -28,6 +34,11 @@ from .literal import lit_node
 
 MAX_TT_VARS = 16
 """Upper bound on cut truth-table support (2^16 bits = 8 KiB per table)."""
+
+TWIN_SEED = 0x7E1F
+"""Seed of :class:`TwinScreen`'s primary-input patterns."""
+
+_SIG_ONES = (1 << 64) - 1
 
 
 def simulate(
@@ -212,6 +223,91 @@ def realizable_by_reuse(g: AIG, root: int, leaves: list[int], tt: int) -> bool:
             values[fanout] = value
             stack.append(fanout)
     return False
+
+
+class TwinScreen:
+    """Per-pass signature table: may another node compute a root's function?
+
+    Every live node (the constant, the primary inputs, the ANDs) gets a
+    signature: 64 seeded random patterns simulated through the graph.
+    The table counts signatures by a key that equates a word with its
+    complement.  Replacement keeps the function of every surviving
+    node, so a signature never goes stale.  Nodes created during the
+    pass are signed on demand, through their fanins, the next time the
+    table is queried; fanins first, not in id order, because a later
+    commit may rewire an older new node onto a newer one.
+
+    :meth:`has_twin` is False only when the root is the one node with
+    its key: then no other node computes the root's function or its
+    complement.  The counts keep nodes that died during the pass, and a
+    shared signature need not mean a shared function; both only make the
+    answer True more often, which is the safe side for every caller.
+    """
+
+    def __init__(self, g: AIG) -> None:
+        rng = random.Random(TWIN_SEED)
+        self._g = g
+        self._sigs: list[int | None] = [None] * g.n_nodes
+        self._sigs[0] = 0
+        for pi in g.pis:
+            self._sigs[pi] = rng.getrandbits(64)
+        self._counts: dict[int, int] = {}
+        self._synced = 0
+        self._sync()
+
+    def has_twin(self, node: int) -> bool:
+        """Could a node other than ``node`` compute its function or complement?"""
+        sig = self.signature(node)
+        return self._counts[min(sig, sig ^ _SIG_ONES)] > 1
+
+    def signature(self, node: int) -> int:
+        """The 64-bit simulation word of live ``node``."""
+        self._sync()
+        return self._sigs[node]
+
+    def _sync(self) -> None:
+        """Sign and count the nodes created since the last query."""
+        g = self._g
+        n_nodes = g.n_nodes
+        if self._synced == n_nodes:
+            return
+        sigs, counts = self._sigs, self._counts
+        sigs.extend([None] * (n_nodes - len(sigs)))
+        for node in range(self._synced, n_nodes):
+            if g.is_dead(node):
+                continue
+            sig = sigs[node]
+            if sig is None:
+                sig = self._sign(node)
+            key = min(sig, sig ^ _SIG_ONES)
+            counts[key] = counts.get(key, 0) + 1
+        self._synced = n_nodes
+
+    def _sign(self, node: int) -> int:
+        """Sign AND ``node`` and its unsigned transitive fanins."""
+        sigs = self._sigs
+        fanin0, fanin1 = self._g._fanin0, self._g._fanin1
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            if sigs[top] is not None:  # reached twice through reconvergence
+                stack.pop()
+                continue
+            f0, f1 = fanin0[top], fanin1[top]
+            a, b = sigs[f0 >> 1], sigs[f1 >> 1]
+            if a is None or b is None:
+                if a is None:
+                    stack.append(f0 >> 1)
+                if b is None:
+                    stack.append(f1 >> 1)
+                continue
+            stack.pop()
+            if f0 & 1:
+                a ^= _SIG_ONES
+            if f1 & 1:
+                b ^= _SIG_ONES
+            sigs[top] = a & b
+        return sigs[node]
 
 
 def batch_cone_truths(

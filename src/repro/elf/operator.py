@@ -12,6 +12,14 @@ Features from step 1 can go stale as commits mutate the graph; the paper
 notes (and we preserve) that this only costs runtime, never quality —
 stale survivors just fail resynthesis like they would have anyway.
 
+Survivors then meet sequential refactor's exact screens, with one
+signature table per pass (:func:`repro.opt.refactor.pass_twins`): the
+twin test before ``cone_truth`` and the closure sweep behind it (the
+exactness argument is in :mod:`repro.opt.refactor`).  A screened
+survivor fails as ``fail_screened`` exactly where full resynthesis would
+have failed, so ELF's outputs, and the outcomes its collector sees, are
+those of an unscreened run; the classifier alone decides what is lost.
+
 Streaming mode classifies each node on its own (batch of one) right
 before resynthesis; it exists for the batching-ablation benchmark.
 """
@@ -28,7 +36,7 @@ from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
 from ..cuts.features import stack_features
 from ..cuts.reconv import reconv_cut
-from ..opt.refactor import RefactorParams, RefactorStats, refactor_node
+from ..opt.refactor import RefactorParams, RefactorStats, pass_twins, refactor_node
 from .classifier import ElfClassifier
 
 
@@ -72,6 +80,7 @@ def elf_refactor(
             keep = _batch_classify(g, nodes, classifier, params, stats)
         else:
             keep = None
+        twins = pass_twins(g, params.refactor, stats)
 
         for position, node in enumerate(nodes):
             if g.is_dead(node):
@@ -102,7 +111,7 @@ def elf_refactor(
                     continue
             stats.cuts_formed += 1
             committed = refactor_node(
-                g, node, cut, params.refactor, required, stats, cache
+                g, node, cut, params.refactor, required, stats, cache, twins
             )
             if collector is not None:
                 committed_features = cut.features

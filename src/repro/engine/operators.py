@@ -34,13 +34,15 @@ import time
 from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
 from ..aig.mffc import mffc_nodes
-from ..aig.simulate import batch_cone_truths
+from ..aig.simulate import TwinScreen, batch_cone_truths
 from ..cuts.reconv import reconv_cut
 from ..opt.refactor import RefactorParams, commit_tree
 from ..opt.rewrite import (
     RewriteParams,
+    RewriteStats,
     commit_scored,
     evaluate_cut,
+    node_screened,
     usable_node_cuts,
 )
 from .cache import ResynthCache
@@ -261,9 +263,10 @@ class RewriteWaveOp(WaveOperator):
     process), far below process-dispatch cost — the batching *is* the
     speedup, matching the ELF trick of fusing per-wave evaluation.
 
-    Commit: :func:`repro.opt.rewrite.commit_scored` — the exact
-    MFFC/strash-aware gain check and build the sequential operator runs,
-    applied serially at replay.
+    Commit: :func:`repro.opt.rewrite.node_screened`, then
+    :func:`repro.opt.rewrite.commit_scored` — the exact MFFC/strash-aware
+    branch-and-bound and build the sequential operator runs, with the
+    same per-pass signature table, applied serially at replay.
     """
 
     name = "rewrite"
@@ -279,6 +282,10 @@ class RewriteWaveOp(WaveOperator):
         self.library = library
         self.required: RequiredLevels | None = None
         self._all_cuts = None
+        self._twins: TwinScreen | None = None
+        # The pass's node and cut skips (``screened`` / ``bounded``),
+        # which EngineStats has no fields for.
+        self.skips = RewriteStats()
         self._hits_library0 = 0
 
     def prepare(self, g: AIG, stats) -> None:
@@ -287,6 +294,8 @@ class RewriteWaveOp(WaveOperator):
         if self.params.preserve_levels:
             self.required = RequiredLevels(g)
         self._all_cuts = enumerate_cuts(g, self.params.k, self.params.max_cuts)
+        self._twins = TwinScreen(g)
+        self.skips = RewriteStats()
         self._hits_library0 = self.cache._owner().hits_library
 
     def _build_candidate(
@@ -383,13 +392,20 @@ class RewriteWaveOp(WaveOperator):
 
     def commit(self, g: AIG, candidate: Candidate, result, stats, dirty: set) -> None:
         stats.nodes_visited += 1
+        if node_screened(g, candidate.node, self.params, self._twins):
+            self.skips.screened += 1
+            stats.fail_gain += 1
+            return
         gain = commit_scored(
             g,
             candidate.node,
-            result,
+            [leaves for leaves, _entry, _transform in result],
+            lambda i: result[i][1:],
             self.library,
             self.params,
             self.required,
+            self._twins,
+            self.skips,
             dirty=dirty,
         )
         if gain is None:

@@ -17,24 +17,35 @@ is where refactor's time goes: most cuts fail step 3/4, and pruning them
 is the paper's contribution.
 
 ELF prunes with a classifier, which loses some commits.  This module
-also prunes losslessly, with an exact screen between steps 2 and 3.
-When the MFFC is the root alone (outside zero-cost mode), the budget is
-zero fresh nodes, and ISOP, factoring and counting are skipped unless
-:func:`~repro.aig.simulate.realizable_by_reuse` finds a literal that
-could stand in for the root (``RefactorStats.fail_screened`` counts the
-skips).  The screen is exact because a zero-cost ``count_tree`` result
-creates no virtual node, so its root is a real literal of one of three
-kinds: a constant, a leaf literal, or a structural-hash hit outside the
-MFFC whose fanins are themselves such real descriptors.  Every such
-literal lies in {const, leaves} or in the leaves' fanout closure (the AND
-nodes whose two fanins are both in {const, leaves, closure}), reached
-without passing through the root, which is forbidden.  The literal
-computes the tree's function, the cut table ``tt`` or its complement.
-So when the table is not constant, not a single leaf literal, and no
-node of that closure computes it in either phase, ``count_tree`` would
-have returned None, and the cut fails exactly as it would have.  The
-engine's commit replay receives precomputed trees and is not screened
-(see ``docs/flows.md``).
+also prunes losslessly.  When the MFFC is the root alone (outside
+zero-cost mode), the budget is zero fresh nodes, so the cut can only
+commit by reusing a literal that already computes the root's function.
+A zero-cost ``count_tree`` result creates no virtual node, so its root
+is a real literal of one of three kinds: a constant, a leaf literal, or
+a structural-hash hit outside the MFFC whose fanins are themselves such
+real descriptors.  The literal computes the tree's function, the cut
+table ``tt`` or its complement.  Two exact tests, cheapest first, each
+fail the cut as ``RefactorStats.fail_screened`` without ISOP, factoring
+or counting:
+
+1. **The twin test, before step 2.**  The MFFC is the root alone when
+   each fanin is a primary input, shared, or a cut leaf.  Such a literal
+   computes the root's global function too, so it is a live node with
+   the root's signature in the pass's
+   :class:`~repro.aig.simulate.TwinScreen`.  When no other node shares
+   the root's key, the cut fails before ``cone_truth``.
+2. **The closure sweep, between steps 2 and 3,** for roots that do have
+   a twin.  Every such literal lies in {const, leaves} or in the leaves'
+   fanout closure (the AND nodes whose two fanins are both in {const,
+   leaves, closure}), reached without passing through the root, which
+   is forbidden.  So when the table is not constant, not a single leaf
+   literal, and no node of that closure computes it in either phase
+   (:func:`~repro.aig.simulate.realizable_by_reuse`), ``count_tree``
+   would have returned None.
+
+Either way the cut fails exactly as it would have.  The engine's commit
+replay receives precomputed trees and is screened by neither test (see
+``docs/flows.md``).
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from .. import obs
 from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
 from ..aig.literal import lit_node, lit_not, make_lit
-from ..aig.mffc import mffc_nodes
-from ..aig.simulate import cone_truth, full_mask, realizable_by_reuse
+from ..aig.mffc import mffc_is_root_alone, mffc_nodes
+from ..aig.simulate import TwinScreen, cone_truth, full_mask, realizable_by_reuse
 from ..cuts.features import CutFeatures
 from ..cuts.reconv import reconv_cut
 from ..factor.factoring import factor
@@ -82,7 +93,7 @@ class RefactorStats:
     commits: int = 0
     gain_total: int = 0
     fail_gain: int = 0  # no cheaper replacement found
-    fail_screened: int = 0  # zero budget, and no existing literal computes the cut
+    fail_screened: int = 0  # zero budget, no existing literal: twin test or sweep
     fail_level: int = 0  # rejected by required-level check
     fail_poison: int = 0  # build would have reused the replaced root
     fail_trivial: int = 0  # degenerate cuts
@@ -141,6 +152,7 @@ def refactor(
         want_features = collector is not None
         if cache is None:
             cache = {}
+        twins = pass_twins(g, params, stats)
         for node in g.and_ids():
             if g.is_dead(node):
                 continue
@@ -149,7 +161,9 @@ def refactor(
             cut = reconv_cut(g, node, params.max_leaves, collect_features=want_features)
             stats.time_cut += time.perf_counter() - t0
             stats.cuts_formed += 1
-            committed = refactor_node(g, node, cut, params, required, stats, cache)
+            committed = refactor_node(
+                g, node, cut, params, required, stats, cache, twins
+            )
             if collector is not None:
                 collector(cut.features, committed)
         pass_span.set(
@@ -159,6 +173,23 @@ def refactor(
         )
     stats.time_total = pass_span.duration
     return stats
+
+
+def pass_twins(
+    g: AIG, params: RefactorParams, stats: RefactorStats
+) -> TwinScreen | None:
+    """The pass's signature table, or None in zero-cost mode (no twin test)."""
+    if params.zero_cost:
+        return None
+    t0 = time.perf_counter()
+    twins = TwinScreen(g)
+    stats.time_truth += time.perf_counter() - t0
+    return twins
+
+
+def twin_screened(g: AIG, node: int, leaves: list[int], twins: TwinScreen) -> bool:
+    """The twin test: one-node MFFC over ``leaves`` and no twin of ``node``."""
+    return mffc_is_root_alone(g, node, leaves) and not twins.has_twin(node)
 
 
 def _resynthesize(
@@ -202,8 +233,13 @@ def refactor_node(
     required: RequiredLevels | None,
     stats: RefactorStats,
     cache: dict | None = None,
+    twins: TwinScreen | None = None,
 ) -> bool:
-    """Attempt to refactor one node given its cut; returns commit status."""
+    """Attempt to refactor one node given its cut; returns commit status.
+
+    ``twins`` — the pass's table from :func:`pass_twins` — enables the
+    twin test of the module docstring.
+    """
     leaves = cut.leaves
     n_leaves = len(leaves)
     if n_leaves < 2:
@@ -211,6 +247,10 @@ def refactor_node(
         return False
 
     t0 = time.perf_counter()
+    if twins is not None and twin_screened(g, node, leaves, twins):
+        stats.time_truth += time.perf_counter() - t0
+        stats.fail_screened += 1
+        return False
     tt = cone_truth(g, node, leaves)
     stats.time_truth += time.perf_counter() - t0
 

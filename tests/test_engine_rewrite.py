@@ -80,6 +80,69 @@ class TestWorkersOneParity:
         assert to_text(engine) == to_text(sequential)
 
 
+def _replay_node_by_node(g, params):
+    """Drive ``RewriteWaveOp`` one node at a time in the sequential order.
+
+    Each node is snapshot, evaluated and committed before the next one
+    is visited, so every commit decision sees the graph the sequential
+    sweep would, and the outputs must match byte for byte.  (``prw -w 1``
+    would not test this: it delegates to the sequential ``rewrite``.)
+    """
+    op = RewriteWaveOp(params, ResynthCache(), default_library())
+    stats = EngineStats(operator="rewrite")
+    op.prepare(g, stats)
+    for node in g.and_ids():
+        if g.is_dead(node):
+            continue
+        candidate = op.snapshot(g, node, stats)
+        if candidate is not None:
+            [result] = op.evaluate(g, [(0, candidate)], stats)
+            op.commit(g, candidate, result, stats, set())
+    return stats, op.skips
+
+
+class TestParityOnNonConstantCircuits:
+    """The layered random circuits above compute constant 1, so they
+    cannot see a wrong shared commit decision; these circuits can."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            RewriteParams(),
+            RewriteParams(zero_cost=True),
+            RewriteParams(preserve_levels=True),
+            RewriteParams(zero_cost=True, preserve_levels=True),
+        ],
+        ids=["rw", "rwz", "rw-l", "rwz-l"],
+    )
+    def test_wave_op_commits_match_sequential(self, screen_circuits, params):
+        commits = bounded = 0
+        for g in screen_circuits.values():
+            sequential, via_op = g.clone(), g.clone()
+            seq_stats = rewrite(sequential, params)
+            op_stats, skips = _replay_node_by_node(via_op, params)
+            assert to_text(via_op) == to_text(sequential)
+            assert op_stats.commits == seq_stats.commits
+            assert op_stats.gain_total == seq_stats.gain_total
+            assert op_stats.nodes_visited == seq_stats.nodes_visited
+            commits += seq_stats.commits
+            bounded += skips.bounded
+        assert commits > 0 and bounded > 0
+
+    def test_w2_is_equivalent(self, screen_circuits):
+        """Exhaustive CEC on the arithmetic circuits (<= 12 PIs); the
+        industrial ones (22 and 90 PIs) get a random-simulation screen,
+        because pure-Python SAT does not finish on them."""
+        commits = 0
+        for g in screen_circuits.values():
+            out, report = run_flow(g.clone(), "prw -w 2")
+            assert not report.steps[0].detail.delegated
+            commits += report.steps[0].detail.commits
+            method = "exhaustive" if g.n_pis <= 12 else "sim"
+            assert equivalent(g, out, method=method, n_random_words=64)
+        assert commits > 0
+
+
 class TestWaveRewrite:
     @pytest.mark.parametrize("seed,n_ands", [(21, 1200), (13, 800)])
     def test_cec_and_close_to_sequential(self, seed, n_ands):

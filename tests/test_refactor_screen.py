@@ -1,47 +1,26 @@
-"""Refactor's zero-budget screen (``repro.aig.simulate.realizable_by_reuse``).
+"""Refactor's zero-budget screens: the twin test and the closure sweep.
 
-The screen lets a cut whose MFFC is the root alone fail without ISOP,
-factoring or counting.  It must be exact: wherever it rejects a cut, the
-full resynthesis would have found nothing either, so every output —
-``rf``, ``resyn2``, ``elf`` and the harvested ELF labels — is the same
-with the screen and without it.  The circuits are arithmetic and
-industrial generators whose outputs are not constant, so a wrong screen
-shows up in the digests.
+Both let a cut whose MFFC is the root alone fail without ISOP, factoring
+or counting: the twin test (``repro.opt.refactor.twin_screened``) before
+``cone_truth``, the sweep (``repro.aig.simulate.realizable_by_reuse``)
+behind it.  They must be exact: wherever one rejects a cut, the full
+resynthesis would have found nothing either, so every output — ``rf``,
+``resyn2``, ``elf`` and the harvested ELF labels — is the same with the
+screens and without them.  The circuits (``tests/conftest.py``) are
+arithmetic and industrial generators whose outputs are not constant, so
+a wrong screen shows up in the digests.
 """
 
 import importlib
 
-import pytest
-
 from repro.aig.literal import make_lit
-from repro.aig.mffc import mffc_nodes
+from repro.aig.mffc import mffc_is_root_alone, mffc_nodes
 from repro.aig.simulate import cone_truth, realizable_by_reuse
-from repro.circuits.arith import divider, hypotenuse, isqrt, log2_approx
-from repro.circuits.industrial import industrial_design
-from repro.elf import collect_dataset, train_leave_one_out
+from repro.elf import collect_dataset
 from repro.factor.to_aig import count_tree
-from repro.ml import TrainConfig
 from repro.opt import RESYN2, RefactorParams, RefactorStats, run_flow
 
 refactor_mod = importlib.import_module("repro.opt.refactor")
-
-
-@pytest.fixture(scope="module")
-def circuits():
-    return {
-        "div": divider(5),
-        "sqrt": isqrt(6),
-        "hyp": hypotenuse(4),
-        "log2": log2_approx(8),
-        "ind1": industrial_design(1, 0.03),
-        "ind5": industrial_design(5, 0.03),
-    }
-
-
-@pytest.fixture(scope="module")
-def classifier(circuits):
-    datasets = {name: collect_dataset(g, name=name) for name, g in circuits.items()}
-    return train_leave_one_out(datasets, "div", TrainConfig(epochs=3, seed=0))
 
 
 def _outputs(circuits, classifier) -> dict:
@@ -56,31 +35,46 @@ def _outputs(circuits, classifier) -> dict:
 
 
 class _CheckedScreen:
-    """The real screen, plus a full-resynthesis check of every rejection."""
+    """The real screens, plus a full-resynthesis check of every rejection."""
 
     def __init__(self):
-        self.rejected = 0
+        self.rejected = {"twin": 0, "sweep": 0}
         self.params = RefactorParams()
+        self.real_twin = refactor_mod.twin_screened
 
-    def __call__(self, g, root, leaves, tt):
+    def twin(self, g, root, leaves, twins):
+        alone = mffc_nodes(g, root, boundary=set(leaves)) == [root]
+        assert mffc_is_root_alone(g, root, leaves) == alone
+        screened = self.real_twin(g, root, leaves, twins)
+        if screened:
+            self._confirm("twin", g, root, leaves)
+        return screened
+
+    def sweep(self, g, root, leaves, tt):
         assert mffc_nodes(g, root, boundary=set(leaves)) == [root]
         assert tt == cone_truth(g, root, leaves)
         reusable = realizable_by_reuse(g, root, leaves, tt)
         if not reusable:
-            self.rejected += 1
-            tree, _inverted = refactor_mod._resynthesize(
-                tt, len(leaves), self.params, None
-            )
-            leaf_lits = [make_lit(leaf) for leaf in leaves]
-            assert count_tree(g, tree, leaf_lits, {root}, max_added=0) is None
+            self._confirm("sweep", g, root, leaves)
         return reusable
 
+    def _confirm(self, kind, g, root, leaves):
+        self.rejected[kind] += 1
+        assert mffc_nodes(g, root, boundary=set(leaves)) == [root]
+        tt = cone_truth(g, root, leaves)
+        tree, _inverted = refactor_mod._resynthesize(tt, len(leaves), self.params, None)
+        leaf_lits = [make_lit(leaf) for leaf in leaves]
+        assert count_tree(g, tree, leaf_lits, {root}, max_added=0) is None
 
-def test_every_rejection_is_confirmed_by_full_resynthesis(circuits, monkeypatch):
+
+def test_every_rejection_is_confirmed_by_full_resynthesis(
+    screen_circuits, monkeypatch
+):
     screen = _CheckedScreen()
-    monkeypatch.setattr(refactor_mod, "realizable_by_reuse", screen)
+    monkeypatch.setattr(refactor_mod, "twin_screened", screen.twin)
+    monkeypatch.setattr(refactor_mod, "realizable_by_reuse", screen.sweep)
     screened = 0
-    for g in circuits.values():
+    for g in screen_circuits.values():
         for script in ("rf", RESYN2):
             _result, report = run_flow(g.clone(), script)
             for step in report.steps:
@@ -88,11 +82,11 @@ def test_every_rejection_is_confirmed_by_full_resynthesis(circuits, monkeypatch)
                 if isinstance(stats, RefactorStats):
                     screened += stats.fail_screened
                     assert stats.commits + stats.fails == stats.cuts_formed
-    assert screen.rejected > 0
-    assert screened == screen.rejected
+    assert screen.rejected["twin"] > 0 and screen.rejected["sweep"] > 0
+    assert screened == sum(screen.rejected.values())
 
 
-def test_some_cuts_pass_the_screen_and_commit(circuits, monkeypatch):
+def test_some_cuts_pass_the_screen_and_commit(screen_circuits, monkeypatch):
     state = {"passed": False, "committed_after_pass": 0}
 
     def spy_screen(*args):
@@ -110,20 +104,25 @@ def test_some_cuts_pass_the_screen_and_commit(circuits, monkeypatch):
 
     monkeypatch.setattr(refactor_mod, "realizable_by_reuse", spy_screen)
     monkeypatch.setattr(refactor_mod, "commit_tree", spy_commit)
-    for g in circuits.values():
+    for g in screen_circuits.values():
         run_flow(g.clone(), "rf")
     assert state["committed_after_pass"] > 0
 
 
-def test_outputs_identical_without_the_screen(circuits, classifier, monkeypatch):
-    screened = _outputs(circuits, classifier)
+def test_outputs_identical_without_the_screen(
+    screen_circuits, screen_classifier, monkeypatch
+):
+    screened = _outputs(screen_circuits, screen_classifier)
+    monkeypatch.setattr(refactor_mod, "twin_screened", lambda *args: False)
     monkeypatch.setattr(refactor_mod, "realizable_by_reuse", lambda *args: True)
-    assert _outputs(circuits, classifier) == screened
+    assert _outputs(screen_circuits, screen_classifier) == screened
 
 
-def test_identity_check_catches_a_wrong_screen(circuits, classifier, monkeypatch):
-    screened = _outputs(circuits, classifier)
+def test_identity_check_catches_a_wrong_screen(
+    screen_circuits, screen_classifier, monkeypatch
+):
+    screened = _outputs(screen_circuits, screen_classifier)
     monkeypatch.setattr(refactor_mod, "realizable_by_reuse", lambda *args: False)
-    wrong = _outputs(circuits, classifier)
+    wrong = _outputs(screen_circuits, screen_classifier)
     for kind in ("rf", RESYN2, "elf", "labels"):
-        assert any(wrong[name, kind] != screened[name, kind] for name in circuits)
+        assert any(wrong[name, kind] != screened[name, kind] for name in screen_circuits)

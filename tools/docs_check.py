@@ -4,11 +4,12 @@ Two checks, both cheap enough to run inside the default test target:
 
 1. **Module docstrings.**  Every ``.py`` file under ``src/repro/engine``,
    ``src/repro/serve``, ``src/repro/obs`` and ``src/repro/resilience``
-   — plus the individually
-   listed hot-path and API-surface modules (simulation kernels, the rewrite operator, and
-   the flow layer: ``opt/flow.py``, ``opt/registry.py``,
-   ``opt/session.py``, the ``python -m repro`` entry point) — must
-   carry a non-trivial module docstring, so ``pydoc repro.engine`` /
+   — plus the individually listed hot-path and API-surface modules
+   (simulation kernels; the rewrite, refactor and ELF operators, whose
+   docstrings carry their exactness arguments; and the flow layer:
+   ``opt/flow.py``, ``opt/registry.py``, ``opt/session.py``, the
+   ``python -m repro`` entry point) — must carry a non-trivial module
+   docstring, so ``pydoc repro.engine`` /
    ``pydoc repro.opt.session`` always render a usable API reference.
    Checked by AST parse — no imports, no side effects.
 2. **README examples.**  Every fenced ```` ```python ```` block in
@@ -52,7 +53,9 @@ DOCSTRING_TREES = (
 )
 DOCSTRING_FILES = (
     "src/repro/aig/simulate.py",
+    "src/repro/elf/operator.py",
     "src/repro/opt/flow.py",
+    "src/repro/opt/refactor.py",
     "src/repro/opt/registry.py",
     "src/repro/opt/rewrite.py",
     "src/repro/opt/session.py",
