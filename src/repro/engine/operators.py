@@ -12,10 +12,10 @@ protocol — three graph-facing hooks plus lifecycle glue:
   return ``None``;
 * ``evaluate(g, items, stats)`` — the batchable middle: given the wave's
   surviving ``(index, candidate)`` pairs, produce one result per pair
-  (refactor: batched truth tables + pooled resynthesis through the
-  cross-pass cache; rewrite: batched truth tables + cached NPN-library
-  lookups).  Runs *before* any of the wave's commits, so it may only
-  depend on graph state every earlier wave already produced;
+  (refactor: exact screens, batched truth tables + pooled resynthesis
+  through the cross-pass cache; rewrite: batched truth tables + cached
+  NPN-library lookups).  Runs *before* any of the wave's commits, so a
+  graph-dependent decision taken here must be re-checked by ``commit``;
 * ``commit(g, candidate, result, stats, dirty)`` — gain-check and commit
   one candidate against the current graph, accumulating journaled kills
   into ``dirty``; runs serially at replay, in ascending node order.
@@ -33,13 +33,18 @@ import time
 
 from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
-from ..aig.mffc import mffc_nodes
-from ..aig.simulate import TwinScreen, batch_cone_truths
+from ..aig.mffc import mffc_is_root_alone, mffc_nodes
+from ..aig.simulate import TwinScreen, batch_cone_truths, realizable_by_reuse
 from ..cuts.reconv import reconv_cut
-from ..opt.refactor import RefactorParams, commit_tree
+from ..opt.refactor import (
+    RefactorParams,
+    _resynthesize,
+    pass_twins,
+    screen_and_commit,
+    twin_screened,
+)
 from ..opt.rewrite import (
     RewriteParams,
-    RewriteStats,
     commit_scored,
     evaluate_cut,
     node_screened,
@@ -107,13 +112,26 @@ class RefactorWaveOp(WaveOperator):
     """Refactor (and ELF-pruned refactor) on the wave pipeline.
 
     Snapshot: one reconvergence-driven cut + cut-bounded MFFC (+ features
-    when a classifier is deployed).  Evaluate: the wave's survivor cones
-    go through the multi-root truth kernel, unique cut functions through
+    when a classifier is deployed).  Evaluate: first the sequential
+    operator's two exact screens (:mod:`repro.opt.refactor`) on the graph
+    as it stands: a survivor that fails the twin test gets no truth
+    table, and one whose MFFC is the root alone and whose table fails
+    the closure sweep gets no cache lookup, so screened survivors never
+    reach the worker pool (``EngineStats.screened``).  The other cones go
+    through the multi-root truth kernel, unique cut functions through
     the cross-pass NPN-aware cache, and true misses to the worker pool —
     where the executor packs the whole wave into one shared-memory
     segment instead of pickling per-task big-ints (see
-    :mod:`repro.engine.pack`).  Commit: the same ``commit_tree`` the
-    sequential operator uses.
+    :mod:`repro.engine.pack`).  Each result is ``(entry or None, table
+    or None)``.
+
+    Commit: :func:`repro.opt.refactor.screen_and_commit`, the sequential
+    operator's twin test and ``commit_tree``, on the graph this commit
+    sees.  An earlier commit of the replay can give a skipped root a twin
+    or a reusable literal; then its entry is resynthesized in-process
+    through the same cache (``EngineStats.screen_fallbacks``).  Both
+    tests are exact on that graph, so every commit decision is the one
+    the unscreened engine makes.
     """
 
     name = "refactor"
@@ -130,12 +148,14 @@ class RefactorWaveOp(WaveOperator):
         self.executor = executor
         self.wants_features = want_features
         self.required: RequiredLevels | None = None
+        self._twins: TwinScreen | None = None
         self._hits_exact0 = 0
         self._hits_npn0 = 0
 
     def prepare(self, g: AIG, stats) -> None:
         if self.params.preserve_levels:
             self.required = RequiredLevels(g)
+        self._twins = pass_twins(g, self.params, stats)
         owner = self.cache._owner()
         self._hits_exact0 = owner.hits_exact
         self._hits_npn0 = owner.hits_npn
@@ -185,26 +205,42 @@ class RefactorWaveOp(WaveOperator):
         )
 
     def evaluate(self, g: AIG, items: list, stats) -> list:
-        # Truth tables of all surviving cones in one batched kernel call.
+        # The twin test first: a screened survivor gets no truth table.
         t0 = time.perf_counter()
-        tts = batch_cone_truths(
-            g, [(c.node, c.leaves, c.interior) for _, c in items]
-        )
+        twins = self._twins
+        live = [
+            (i, c)
+            for i, c in items
+            if twins is None or not twin_screened(g, c.node, c.leaves, twins)
+        ]
+        # Truth tables of the remaining cones in one batched kernel call.
+        tts = batch_cone_truths(g, [(c.node, c.leaves, c.interior) for _, c in live])
+        tt_of = {i: tt for (i, _c), tt in zip(live, tts)}
+        # Then the closure sweep: a one-node MFFC whose table no existing
+        # literal computes gets no cache lookup and no pool task.
+        wanted = []
+        for (i, c), tt in zip(live, tts):
+            if (
+                self.params.zero_cost
+                or not mffc_is_root_alone(g, c.node, c.leaves)
+                or realizable_by_reuse(g, c.node, c.leaves, tt)
+            ):
+                wanted.append((i, (tt, len(c.leaves))))
+        stats.screened += len(items) - len(wanted)
         stats.time_truth += time.perf_counter() - t0
 
         # Resolve each unique cut function through the cross-pass cache;
         # only true misses are shipped to the worker pool.
         entries: dict[tuple[int, int], tuple | None] = {}
         todo: list[tuple[int, int]] = []
-        for (_i, candidate), tt in zip(items, tts):
-            key = (tt, len(candidate.leaves))
+        for _i, key in wanted:
             if key in entries:
                 continue
             hit = self.cache.get(key)
             entries[key] = hit
             if hit is None:
                 todo.append(key)
-        stats.n_tasks += len(items)
+        stats.n_tasks += len(wanted)
         stats.n_unique_tasks += len(todo)
         if todo:
             pooled = self.executor.will_pool(len(todo))
@@ -216,22 +252,33 @@ class RefactorWaveOp(WaveOperator):
             if pooled:
                 stats.time_parallel += elapsed
             stats.time_resynth += elapsed
-        return [
-            entries[(tt, len(candidate.leaves))]
-            for (_i, candidate), tt in zip(items, tts)
-        ]
+        entry_of = {i: entries[key] for i, key in wanted}
+        return [(entry_of.get(i), tt_of.get(i)) for i, _c in items]
 
     def commit(self, g: AIG, candidate: Candidate, result, stats, dirty: set) -> None:
         stats.nodes_visited += 1
         stats.cuts_formed += 1
-        commit_tree(
+        entry, tt = result
+        leaves = list(candidate.leaves)
+
+        def resolve(tt: int) -> tuple:
+            # A survivor screened at evaluate time whose screen no longer
+            # holds on the current graph: resynthesize it here.
+            if entry is not None:
+                return entry
+            stats.screen_fallbacks += 1
+            return _resynthesize(tt, len(leaves), self.params, self.cache)
+
+        screen_and_commit(
             g,
             candidate.node,
-            list(candidate.leaves),
+            leaves,
             self.params,
             self.required,
             stats,
-            lambda: result,
+            self._twins,
+            resolve,
+            tt=tt,
             dirty=dirty,
         )
 
@@ -283,9 +330,6 @@ class RewriteWaveOp(WaveOperator):
         self.required: RequiredLevels | None = None
         self._all_cuts = None
         self._twins: TwinScreen | None = None
-        # The pass's node and cut skips (``screened`` / ``bounded``),
-        # which EngineStats has no fields for.
-        self.skips = RewriteStats()
         self._hits_library0 = 0
 
     def prepare(self, g: AIG, stats) -> None:
@@ -295,7 +339,6 @@ class RewriteWaveOp(WaveOperator):
             self.required = RequiredLevels(g)
         self._all_cuts = enumerate_cuts(g, self.params.k, self.params.max_cuts)
         self._twins = TwinScreen(g)
-        self.skips = RewriteStats()
         self._hits_library0 = self.cache._owner().hits_library
 
     def _build_candidate(
@@ -393,7 +436,7 @@ class RewriteWaveOp(WaveOperator):
     def commit(self, g: AIG, candidate: Candidate, result, stats, dirty: set) -> None:
         stats.nodes_visited += 1
         if node_screened(g, candidate.node, self.params, self._twins):
-            self.skips.screened += 1
+            stats.screened += 1
             stats.fail_gain += 1
             return
         gain = commit_scored(
@@ -405,7 +448,7 @@ class RewriteWaveOp(WaveOperator):
             self.params,
             self.required,
             self._twins,
-            self.skips,
+            stats,
             dirty=dirty,
         )
         if gain is None:

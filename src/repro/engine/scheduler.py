@@ -179,6 +179,14 @@ class EngineStats(RefactorStats):
     n_npn_hits: int = 0  # NPN-class remap hits this pass
     n_library_hits: int = 0  # rewrite-library layer hits this pass
     n_stale_cuts: int = 0  # rewrite cuts dropped as stale (dead/uncovered)
+    # Exact skips (docs/flows.md, "Lossless pruning").  Refactor: survivors
+    # screened at evaluate time, which get no truth table or no pool task.
+    # Rewrite: nodes and cuts skipped because the root has no twin, and
+    # cuts whose key bound cannot beat the best.  The names match
+    # RewriteStats, so ``commit_scored`` counts straight into them.
+    screened: int = 0
+    bounded: int = 0
+    screen_fallbacks: int = 0  # refactor: screened survivors resynthesized at commit
     time_snapshot: float = 0.0
     time_conflict: float = 0.0
     time_parallel: float = 0.0  # wall time inside the worker pool
@@ -317,6 +325,8 @@ def _delegate_sequential_rewrite(g: AIG, params: RewriteEngineParams) -> EngineS
     stats.commits = base.commits
     stats.gain_total = base.gain_total
     stats.n_stale_cuts = base.stale_cuts
+    stats.screened = base.screened
+    stats.bounded = base.bounded
     stats.time_total = base.time_total
     stats.n_candidates = base.nodes_visited
     stats.n_waves = 1 if base.nodes_visited else 0
@@ -438,6 +448,9 @@ def run_wave_pass(
             n_cache_hits=stats.n_cache_hits,
             n_npn_hits=stats.n_npn_hits,
             n_library_hits=stats.n_library_hits,
+            screened=stats.screened,
+            bounded=stats.bounded,
+            screen_fallbacks=stats.screen_fallbacks,
             dedup_rate=round(stats.dedup_rate, 6),
             commits=stats.commits,
         )
@@ -467,6 +480,8 @@ def _record_pass_metrics(stats: EngineStats) -> None:
     m.counter("engine_invalidated_total", operator=op).add(stats.n_invalidated)
     m.counter("engine_resnapshotted_total", operator=op).add(stats.n_resnapshotted)
     m.counter("engine_repair_waves_total", operator=op).add(stats.n_repair_waves)
+    m.counter("engine_screened_total", operator=op).add(stats.screened + stats.bounded)
+    m.counter("engine_screen_fallbacks_total", operator=op).add(stats.screen_fallbacks)
     m.counter("engine_cache_hits_total", operator=op, layer="exact").add(stats.n_cache_hits)
     m.counter("engine_cache_hits_total", operator=op, layer="npn").add(stats.n_npn_hits)
     m.counter("engine_cache_hits_total", operator=op, layer="library").add(

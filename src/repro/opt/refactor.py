@@ -43,8 +43,11 @@ or counting:
    (:func:`~repro.aig.simulate.realizable_by_reuse`), ``count_tree``
    would have returned None.
 
-Either way the cut fails exactly as it would have.  The engine's commit
-replay receives precomputed trees and is screened by neither test (see
+Either way the cut fails exactly as it would have.  The wave engine
+(:class:`repro.engine.operators.RefactorWaveOp`) runs both tests twice:
+at evaluate time, so a screened survivor never reaches the worker pool,
+and again through :func:`screen_and_commit` on the graph each commit
+sees, resynthesizing in-process when a screen no longer holds (see
 ``docs/flows.md``).
 """
 
@@ -245,13 +248,45 @@ def refactor_node(
     if n_leaves < 2:
         stats.fail_trivial += 1
         return False
+    return screen_and_commit(
+        g,
+        node,
+        leaves,
+        params,
+        required,
+        stats,
+        twins,
+        lambda tt: _resynthesize(tt, n_leaves, params, cache),
+    )
 
+
+def screen_and_commit(
+    g: AIG,
+    node: int,
+    leaves: list[int],
+    params: RefactorParams,
+    required: RequiredLevels | None,
+    stats: RefactorStats,
+    twins: TwinScreen | None,
+    resolve,
+    tt: int | None = None,
+    dirty: set[int] | None = None,
+) -> bool:
+    """The twin test, then :func:`commit_tree` with the cut table.
+
+    Both screens of the module docstring run here, on the graph as it is
+    now.  ``tt`` is the cut function over ``leaves`` when the caller
+    already has it (the engine computes it per wave); otherwise it is
+    computed after the twin test.  ``resolve(tt)`` supplies the
+    ``(tree, inverted)`` pair; ``dirty`` is passed on to ``commit_tree``.
+    """
     t0 = time.perf_counter()
     if twins is not None and twin_screened(g, node, leaves, twins):
         stats.time_truth += time.perf_counter() - t0
         stats.fail_screened += 1
         return False
-    tt = cone_truth(g, node, leaves)
+    if tt is None:
+        tt = cone_truth(g, node, leaves)
     stats.time_truth += time.perf_counter() - t0
 
     return commit_tree(
@@ -261,7 +296,8 @@ def refactor_node(
         params,
         required,
         stats,
-        lambda: _resynthesize(tt, n_leaves, params, cache),
+        lambda: resolve(tt),
+        dirty=dirty,
         tt=tt,
     )
 

@@ -197,7 +197,8 @@ def commit_scored(
 
     ``twins`` — the pass's signature table — sets the cost-0 bound of
     the module docstring, and ``stats`` counts the cuts it skips in
-    ``screened`` / ``bounded``; callers skip whole nodes beforehand with
+    ``screened`` / ``bounded`` (the engine passes its ``EngineStats``,
+    which has both counters); callers skip whole nodes beforehand with
     :func:`node_screened`.  ``dirty`` — when given — accumulates the node
     kills this commit journaled, mirroring
     :func:`repro.opt.refactor.commit_tree`.

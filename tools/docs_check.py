@@ -6,7 +6,9 @@ Two checks, both cheap enough to run inside the default test target:
    ``src/repro/serve``, ``src/repro/obs`` and ``src/repro/resilience``
    — plus the individually listed hot-path and API-surface modules
    (simulation kernels; the rewrite, refactor and ELF operators, whose
-   docstrings carry their exactness arguments; and the flow layer:
+   docstrings carry their exactness arguments, as does the engine's
+   ``operators.py``, covered by the ``src/repro/engine`` tree; and the
+   flow layer:
    ``opt/flow.py``, ``opt/registry.py``, ``opt/session.py``, the
    ``python -m repro`` entry point) — must carry a non-trivial module
    docstring, so ``pydoc repro.engine`` /
