@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench bench-rw bench-mp bench-serve bench-tune bench-all bench-faults profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-all profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -25,16 +25,18 @@ lint-timing:
 	$(PYTHON) tools/lint_timing.py
 
 # Failure-path discipline: a broad `except Exception` under
-# src/repro/{engine,serve,resilience} must re-raise, increment a
-# metric, or carry an explicit `# lint-faults:` justification
+# src/repro/{engine,serve,resilience,tune} must re-raise, increment a
+# metric, or carry an explicit `# lint-faults:` justification, and every
+# fault site the code fires must be registered in faults.SITES
 # (docs/robustness.md).
 lint-faults:
 	$(PYTHON) tools/lint_faults.py
 
-# Resilience battery: worker-death recovery, deadlines, degradation
-# ladder and the deterministic fault-injection harness.  Individual
-# faults can also be forced by hand, e.g.
-#   REPRO_FAULTS="worker.chunk=kill#chunk=0" PYTHONPATH=src python ...
+# Resilience battery: deadlines, retry policy, classifier-round failures
+# and the deterministic fault-injection harness (shard-death recovery is
+# covered by tests/test_serve_service.py).  Individual faults can also
+# be forced by hand, e.g.
+#   REPRO_FAULTS="classifier.fire=raise@1" PYTHONPATH=src python ...
 test-faults:
 	$(PYTHON) -m pytest tests/test_resilience.py -x -q
 
@@ -55,29 +57,11 @@ serve-demo:
 tune-demo:
 	$(PYTHON) tools/tune_demo.py
 
-# Engine scaling benchmark (no classifier training needed; writes
-# benchmarks/results/engine_scaling.json, a rendered table, and the
-# refactor rows of the repo-level BENCH_engine.json perf trajectory).
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py refactor
-
-# Wave-rewrite scaling: appends/refreshes the rewrite rows of
-# BENCH_engine.json without touching the refactor records.
+# Wave-rewrite scaling (no classifier training needed): writes
+# benchmarks/results/engine_scaling_rewrite.{json,txt} and refreshes the
+# rewrite rows of BENCH_engine.json without touching other records.
 bench-rw:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py rewrite
-
-# Wave-transport benchmark: shm segments vs pickled chunks at two
-# workers — serialized pipe bytes, segment volume and dispatch time per
-# transport; merges `operator: "transport"` rows (and the host's
-# cpu_count) into BENCH_engine.json.
-bench-mp:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_transport.py
-
-# Idle fault-injection overhead: a REPRO_FAULTS plan armed at every
-# site but never triggering vs no plan, on the layered-5k refactor run.
-# Merges the faults-idle rows into BENCH_engine.json (<1% contract).
-bench-faults:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py faults
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py
 
 # resyn2 runtime profile (refactor's share of the flow, paper SS II).
 profile:

@@ -15,15 +15,16 @@ Quickstart::
 Subpackages: ``aig`` (the AND-inverter-graph substrate), ``cuts``,
 ``tt`` (truth tables/ISOP/NPN), ``factor`` (algebraic factoring),
 ``opt`` (refactor/rewrite/resub/balance/flows), ``ml`` (NumPy training
-stack), ``elf`` (the paper's contribution), ``engine`` (conflict-aware
-parallel refactoring), ``serve`` (sharded multi-circuit serving with
-cross-circuit fused classification), ``circuits`` (benchmark
+stack), ``elf`` (the paper's contribution), ``engine`` (the ``pf``/``prw``
+engine commands and conflict-wave rewriting), ``serve`` (sharded
+multi-circuit serving with cross-circuit fused classification),
+``circuits`` (benchmark
 generators), ``verify`` (SAT/CEC), ``analysis`` (t-SNE/SHAP), and
 ``harness`` (experiment drivers).
 """
 
 from .aig import AIG
-from .elf import ElfClassifier, ElfParams, elf_refactor, elf_refactor_parallel
+from .elf import ElfClassifier, ElfParams, elf_refactor
 from .engine import EngineParams, EngineStats, engine_refactor
 from .opt import OptSession, RefactorParams, refactor, run_flow
 
@@ -38,7 +39,6 @@ __all__ = [
     "OptSession",
     "RefactorParams",
     "elf_refactor",
-    "elf_refactor_parallel",
     "engine_refactor",
     "refactor",
     "run_flow",

@@ -11,7 +11,7 @@ Python — a thin wrapper over :class:`repro.opt.OptSession`::
 ``SCRIPT`` is either a literal ``;``-separated command script or a named
 script (``resyn2``, ``compress2`` — case-insensitive).  ``-w N`` is the
 session's ``engine_workers`` passthrough: the worker count applied to
-parallel commands that carry no explicit per-command ``-w``.  The
+engine commands that carry no explicit per-command ``-w``.  The
 optimized network goes to ``-o`` (or stdout when omitted); the per-step
 report table goes to stderr unless ``-q`` silences it.  Commands that
 need a classifier (``elf``/``pelf``) are not servable from the CLI —
@@ -21,7 +21,7 @@ train and deploy those through the Python API.
 writes the trace on exit — Chrome trace-event JSON (open in
 ``chrome://tracing`` / Perfetto) or JSONL when ``FILE`` ends in
 ``.jsonl``.  ``--metrics FILE`` writes the metrics registry (flow
-command timings, wave/worker counters) in Prometheus text format.
+command timings, wave counters) in Prometheus text format.
 
 ``python -m repro serve --socket PATH`` starts the long-lived
 optimization service instead (:mod:`repro.serve.service`): shard worker
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for parallel commands without an explicit -w "
+        help="worker count for engine commands without an explicit -w "
         "(default: one per core; 1 = bit-identical sequential mode)",
     )
     parser.add_argument(

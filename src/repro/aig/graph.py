@@ -426,8 +426,8 @@ class AIG:
         """Return and clear the epoch's structural-damage journal.
 
         An epoch is everything since the previous drain (or construction).
-        The engine drains once per committed replacement — reported up
-        through ``commit_tree`` — and maps the killed set through its
+        The wave engine drains once per committed replacement — reported
+        up through ``commit_scored`` — and maps the killed set through its
         candidate index to find exactly the snapshots that went stale.
         Sequential operator passes drain once at entry, retiring the
         previous epoch; between drains the journal is bounded by the

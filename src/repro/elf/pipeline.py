@@ -83,34 +83,10 @@ class ComparisonRow:
     elf_level: int
     baseline_stats: RefactorStats
     elf_stats: RefactorStats
-    # Conflict-wave engine columns; populated when ``compare`` runs with
-    # ``engine_workers`` (0 = engine row absent).
-    engine_workers: int = 0
-    engine_runtime: float = 0.0
-    engine_ands: int = 0
-    engine_level: int = 0
-    engine_stats: RefactorStats | None = None
 
     @property
     def speedup(self) -> float:
         return self.baseline_runtime / self.elf_runtime if self.elf_runtime > 0 else float("inf")
-
-    @property
-    def engine_speedup(self) -> float:
-        """Baseline refactor runtime over the engine's runtime."""
-        if self.engine_workers == 0:
-            return 0.0
-        return (
-            self.baseline_runtime / self.engine_runtime
-            if self.engine_runtime > 0
-            else float("inf")
-        )
-
-    @property
-    def engine_and_diff_pct(self) -> float:
-        if self.engine_workers == 0 or self.baseline_ands == 0:
-            return 0.0
-        return 100.0 * (self.engine_ands - self.baseline_ands) / self.baseline_ands
 
     @property
     def and_diff_pct(self) -> float:
@@ -135,14 +111,11 @@ def compare(
     classifier: ElfClassifier,
     params: ElfParams | None = None,
     elf_applications: int = 1,
-    engine_workers: int | None = None,
 ) -> ComparisonRow:
     """Baseline refactor vs ELF (applied ``elf_applications`` times).
 
     Both run on fresh clones of ``g``; the baseline always runs once
-    (Table IV compares one baseline pass against ELF x 2).  With
-    ``engine_workers`` the conflict-wave engine also runs once on its own
-    clone (classifier deployed) and fills the row's ``engine_*`` columns.
+    (Table IV compares one baseline pass against ELF x 2).
     """
     params = params or ElfParams()
     baseline_g = g.clone()
@@ -158,27 +131,7 @@ def compare(
         _accumulate(elf_stats_total, pass_stats)
     elf_runtime = time.perf_counter() - t0
 
-    engine_columns = {}
-    if engine_workers is not None:
-        from ..engine import EngineParams, engine_refactor
-
-        engine_g = g.clone()
-        t0 = time.perf_counter()
-        engine_stats = engine_refactor(
-            engine_g,
-            EngineParams(refactor=params.refactor, workers=engine_workers),
-            classifier=classifier,
-        )
-        engine_columns = dict(
-            engine_workers=engine_stats.workers,
-            engine_runtime=time.perf_counter() - t0,
-            engine_ands=engine_g.n_ands,
-            engine_level=engine_g.max_level(),
-            engine_stats=engine_stats,
-        )
-
     return ComparisonRow(
-        **engine_columns,
         design=g.name,
         nodes_before=g.n_ands,
         baseline_runtime=baseline_runtime,

@@ -1,27 +1,36 @@
-"""Conflict-aware parallel optimization engine (the wave pipeline).
+"""Conflict-aware wave engine: the ``pf`` / ``pelf`` / ``prw`` commands.
 
 The sequential operator sweeps visit nodes one at a time; the only speed
-lever ELF adds on top is classifier pruning.  This subsystem adds the
-other lever: footprint-disjoint candidates are grouped into
-conflict-free commit waves (:mod:`repro.engine.conflict`), each wave is
-batch-evaluated off the main graph, and winning commits are replayed
-serially (:mod:`repro.engine.scheduler`).  The scheduler itself is
-operator-agnostic: everything operator-specific sits behind the
-:class:`repro.engine.operators.WaveOperator` protocol, with two
-adapters — :class:`repro.engine.operators.RefactorWaveOp` (refactor /
-ELF: pooled resynthesis via :mod:`repro.engine.parallel` through the
-cross-pass NPN-aware cache of :mod:`repro.engine.cache`) and
-:class:`repro.engine.operators.RewriteWaveOp` (DAC'06 rewriting:
-batched truth kernels + cached NPN-library lookups).  Snapshots an
-earlier wave invalidates are incrementally re-cut and re-waved via the
-graph's dirty journal and the candidate inverted index — there is no
-sequential fallback.  ``workers=1`` delegates to the sequential
-operators, bit for bit.
+lever ELF adds on top is classifier pruning, and the exact screens of
+:mod:`repro.opt.refactor` are the lossless one.  This subsystem holds
+the engine commands:
+
+* :func:`engine_refactor` (``pf`` / ``pelf``) runs the sequential
+  refactor or ELF sweep at every worker count, so its output is
+  byte-identical to ``rf`` / ``elf`` at any ``-w``.  After the screens a
+  resynthesis task costs less than a process round trip, and the
+  measured pooled designs lost to the sequential sweep
+  (``docs/engine.md``).
+* :func:`engine_rewrite` (``prw``) groups footprint-disjoint candidates
+  into conflict-free commit waves (:mod:`repro.engine.conflict`),
+  batch-evaluates each wave off the main graph and replays winning
+  commits serially (:mod:`repro.engine.scheduler`).  The scheduler is
+  operator-agnostic: everything operator-specific sits behind the
+  :class:`repro.engine.operators.WaveOperator` protocol, implemented by
+  :class:`repro.engine.operators.RewriteWaveOp` (DAC'06 rewriting:
+  batched truth kernels + cached NPN-library lookups through
+  :mod:`repro.engine.cache`).  Snapshots an earlier wave invalidates
+  are incrementally re-cut and re-waved via the graph's dirty journal
+  and the candidate inverted index.  ``workers=1`` delegates to the
+  sequential operator, bit for bit.
+* :class:`repro.engine.parallel.ResynthExecutor` (with its
+  shared-memory transport :mod:`repro.engine.pack`) is the resynthesis
+  worker pool; no command uses it, and it is slated for deletion.
 """
 
 from .cache import ResynthCache, remap_tree
 from .conflict import Candidate, CandidateIndex, build_conflict_graph, color_waves
-from .operators import RefactorWaveOp, RewriteWaveOp, WaveOperator
+from .operators import RewriteWaveOp, WaveOperator
 from .parallel import ResynthExecutor, resynthesize_batch
 from .scheduler import (
     EngineParams,
@@ -37,7 +46,6 @@ __all__ = [
     "CandidateIndex",
     "EngineParams",
     "EngineStats",
-    "RefactorWaveOp",
     "ResynthCache",
     "ResynthExecutor",
     "RewriteEngineParams",

@@ -6,9 +6,8 @@ dict already serves many nodes of one sweep.  This module extends that
 in two directions:
 
 * **cross-pass**: a :class:`ResynthCache` outlives a single operator
-  pass, so the second ``elf`` of an ``elf; elf`` flow (or the next
-  engine pass over a re-snapshotted region) starts with every factored
-  form the first pass derived;
+  pass, so the second ``elf`` of an ``elf; elf`` flow starts with every
+  factored form the first pass derived;
 * **cross-function**: 4-leaf cut functions are additionally indexed by
   their NPN class (:mod:`repro.tt.npn`).  A miss on the exact table but
   a hit on the class remaps the cached factored tree through the NPN
@@ -20,9 +19,8 @@ Exact lookups return bit-identical entries to recomputation, so sharing
 a cache with the *sequential* operators changes nothing but runtime.
 NPN-remapped entries are functionally equivalent but may factor a class
 representative differently than the concrete table would have factored;
-they are therefore only served to consumers that opted in via
-:meth:`ResynthCache.npn_view` — the conflict-wave scheduler — whose
-commits are gain-checked against the real graph either way.
+they are therefore only served through :meth:`ResynthCache.npn_view`,
+which no command uses any more (slated for deletion).
 
 A third, independent layer serves the *rewrite* family:
 :meth:`ResynthCache.library_lookup` memoizes the NPN-library resolution

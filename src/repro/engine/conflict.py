@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ..cuts.features import CutFeatures
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -38,10 +36,10 @@ class Candidate:
 
     The conflict/invalidation machinery is operator-agnostic: it only
     reads ``node``, ``leaves``, ``interior`` and ``mffc``.  A
-    single-cut operator (refactor) stores its one cut directly; a
-    multi-cut operator (rewrite) stores the *unions* here — death of any
-    node in any cut's cone must invalidate the snapshot — and keeps the
-    per-cut detail in ``payload``, which the scheduler never inspects.
+    single-cut operator stores its one cut directly; a multi-cut
+    operator (rewrite) stores the *unions* here — death of any node in
+    any cut's cone must invalidate the snapshot — and keeps the per-cut
+    detail in ``payload``, which the scheduler never inspects.
 
     Re-snapshotted candidates (built between waves after their cone was
     dirtied) may carry the conservative ``mffc == interior`` bound: the
@@ -54,7 +52,6 @@ class Candidate:
     leaves: tuple[int, ...]
     interior: frozenset[int]  # cut cone, root included, leaves excluded
     mffc: frozenset[int]  # nodes freed if ``node`` is replaced
-    features: CutFeatures | None = None
     payload: object = None  # operator-private snapshot data
 
     @cached_property
@@ -148,8 +145,8 @@ def color_waves(adjacency: list[set[int]]) -> list[list[int]]:
 
     Returns the color classes as waves of candidate indices; every wave
     is an independent set of the conflict graph, and the first waves are
-    the largest (greedy packs early colors first), which is what feeds
-    the worker pool best.
+    the largest (greedy packs early colors first), which gives the
+    batched evaluation its biggest batches.
     """
     colors = [-1] * len(adjacency)
     waves: list[list[int]] = []

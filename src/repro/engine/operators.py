@@ -2,29 +2,27 @@
 
 The conflict-wave pipeline (:mod:`repro.engine.scheduler`) is
 operator-agnostic: snapshotting, conflict planning, wave coloring,
-fused classification, incremental re-snapshot and the repair-wave
-protocol all work on :class:`repro.engine.conflict.Candidate` alone.
+incremental re-snapshot and the repair-wave protocol all work on
+:class:`repro.engine.conflict.Candidate` alone.
 Everything operator-specific lives behind the :class:`WaveOperator`
 protocol — three graph-facing hooks plus lifecycle glue:
 
-* ``snapshot(g, node, stats)`` — build one candidate (cut(s), footprint,
-  optional features) on the intact graph, or account the node and
-  return ``None``;
+* ``snapshot(g, node, stats)`` — build one candidate (cut(s), footprint)
+  on the intact graph, or account the node and return ``None``;
 * ``evaluate(g, items, stats)`` — the batchable middle: given the wave's
-  surviving ``(index, candidate)`` pairs, produce one result per pair
-  (refactor: exact screens, batched truth tables + pooled resynthesis
-  through the cross-pass cache; rewrite: batched truth tables + cached
-  NPN-library lookups).  Runs *before* any of the wave's commits, so a
-  graph-dependent decision taken here must be re-checked by ``commit``;
+  ``(index, candidate)`` pairs, produce one result per pair (rewrite:
+  batched truth tables + cached NPN-library lookups).  Runs *before* any
+  of the wave's commits, so a graph-dependent decision taken here must
+  be re-checked by ``commit``;
 * ``commit(g, candidate, result, stats, dirty)`` — gain-check and commit
   one candidate against the current graph, accumulating journaled kills
   into ``dirty``; runs serially at replay, in ascending node order.
 
-Two adapters implement the protocol: :class:`RefactorWaveOp` (the
-ELF-paper refactor engine, extracted verbatim from the previously
-hard-wired scheduler — behavior- and BENCH-identical) and
-:class:`RewriteWaveOp` (DAC'06 cut rewriting, built from the
-snapshot/evaluate/commit phase split of :mod:`repro.opt.rewrite`).
+One adapter implements the protocol: :class:`RewriteWaveOp` (DAC'06
+cut rewriting, built from the snapshot/evaluate/commit phase split of
+:mod:`repro.opt.rewrite`).  The refactor family has no wave adapter: it
+runs the sequential sweep at every width (``docs/engine.md`` gives the
+measurements).
 """
 
 from __future__ import annotations
@@ -33,16 +31,8 @@ import time
 
 from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
-from ..aig.mffc import mffc_is_root_alone, mffc_nodes
-from ..aig.simulate import TwinScreen, batch_cone_truths, realizable_by_reuse
-from ..cuts.reconv import reconv_cut
-from ..opt.refactor import (
-    RefactorParams,
-    _resynthesize,
-    pass_twins,
-    screen_and_commit,
-    twin_screened,
-)
+from ..aig.mffc import mffc_nodes
+from ..aig.simulate import TwinScreen, batch_cone_truths
 from ..opt.rewrite import (
     RewriteParams,
     commit_scored,
@@ -61,20 +51,9 @@ class WaveOperator:
     :meth:`commit`; :meth:`resnapshot` must be provided whenever
     snapshots can be invalidated (always, in practice).  ``prepare`` /
     ``finish`` bracket one pass and default to no-ops.
-
-    ``wants_features`` tells the scheduler whether snapshots carry the
-    six ELF features (so wave members can be batch-classified); an
-    operator without a feature notion leaves it ``False`` and the
-    scheduler never classifies.
     """
 
     name = "wave"
-    wants_features = False
-    # Set by run_wave_pass before the wave loop: the pass's latency
-    # budget (or None).  Operators whose ``evaluate`` blocks — pooled
-    # resynthesis, chiefly — bound their waits on it so a dead worker
-    # cannot stall past the budget.
-    deadline = None
 
     def prepare(self, g: AIG, stats) -> None:
         """Pass-level setup on the intact graph (cut enumeration, levels)."""
@@ -108,186 +87,6 @@ class WaveOperator:
         """Pass-level teardown / stats finalization."""
 
 
-class RefactorWaveOp(WaveOperator):
-    """Refactor (and ELF-pruned refactor) on the wave pipeline.
-
-    Snapshot: one reconvergence-driven cut + cut-bounded MFFC (+ features
-    when a classifier is deployed).  Evaluate: first the sequential
-    operator's two exact screens (:mod:`repro.opt.refactor`) on the graph
-    as it stands: a survivor that fails the twin test gets no truth
-    table, and one whose MFFC is the root alone and whose table fails
-    the closure sweep gets no cache lookup, so screened survivors never
-    reach the worker pool (``EngineStats.screened``).  The other cones go
-    through the multi-root truth kernel, unique cut functions through
-    the cross-pass NPN-aware cache, and true misses to the worker pool —
-    where the executor packs the whole wave into one shared-memory
-    segment instead of pickling per-task big-ints (see
-    :mod:`repro.engine.pack`).  Each result is ``(entry or None, table
-    or None)``.
-
-    Commit: :func:`repro.opt.refactor.screen_and_commit`, the sequential
-    operator's twin test and ``commit_tree``, on the graph this commit
-    sees.  An earlier commit of the replay can give a skipped root a twin
-    or a reusable literal; then its entry is resynthesized in-process
-    through the same cache (``EngineStats.screen_fallbacks``).  Both
-    tests are exact on that graph, so every commit decision is the one
-    the unscreened engine makes.
-    """
-
-    name = "refactor"
-
-    def __init__(
-        self,
-        params: RefactorParams,
-        cache: ResynthCache,
-        executor,
-        want_features: bool,
-    ) -> None:
-        self.params = params
-        self.cache = cache
-        self.executor = executor
-        self.wants_features = want_features
-        self.required: RequiredLevels | None = None
-        self._twins: TwinScreen | None = None
-        self._hits_exact0 = 0
-        self._hits_npn0 = 0
-
-    def prepare(self, g: AIG, stats) -> None:
-        if self.params.preserve_levels:
-            self.required = RequiredLevels(g)
-        self._twins = pass_twins(g, self.params, stats)
-        owner = self.cache._owner()
-        self._hits_exact0 = owner.hits_exact
-        self._hits_npn0 = owner.hits_npn
-
-    def snapshot(self, g: AIG, node: int, stats) -> Candidate | None:
-        cut = reconv_cut(
-            g, node, self.params.max_leaves, collect_features=self.wants_features
-        )
-        if cut.n_leaves < 2:
-            # Degenerate cuts mirror the sequential accounting (visited,
-            # formed, failed) without entering the wave machinery.
-            stats.nodes_visited += 1
-            stats.cuts_formed += 1
-            stats.fail_trivial += 1
-            return None
-        mffc = frozenset(mffc_nodes(g, node, boundary=set(cut.leaves)))
-        return Candidate(
-            node=node,
-            leaves=tuple(cut.leaves),
-            interior=frozenset(cut.interior),
-            mffc=mffc,
-            features=cut.features,
-        )
-
-    def resnapshot(self, g: AIG, candidate: Candidate, stats) -> Candidate | None:
-        """Fresh reconvergence cut with the conservative ``mffc = interior``
-        bound (the cut-bounded MFFC is a subset of the interior, and the
-        commit-time gain check recomputes the exact value anyway)."""
-        cut = reconv_cut(
-            g,
-            candidate.node,
-            self.params.max_leaves,
-            collect_features=self.wants_features,
-        )
-        if cut.n_leaves < 2:
-            stats.nodes_visited += 1
-            stats.cuts_formed += 1
-            stats.fail_trivial += 1
-            return None
-        interior = frozenset(cut.interior)
-        return Candidate(
-            node=candidate.node,
-            leaves=tuple(cut.leaves),
-            interior=interior,
-            mffc=interior,
-            features=cut.features,
-        )
-
-    def evaluate(self, g: AIG, items: list, stats) -> list:
-        # The twin test first: a screened survivor gets no truth table.
-        t0 = time.perf_counter()
-        twins = self._twins
-        live = [
-            (i, c)
-            for i, c in items
-            if twins is None or not twin_screened(g, c.node, c.leaves, twins)
-        ]
-        # Truth tables of the remaining cones in one batched kernel call.
-        tts = batch_cone_truths(g, [(c.node, c.leaves, c.interior) for _, c in live])
-        tt_of = {i: tt for (i, _c), tt in zip(live, tts)}
-        # Then the closure sweep: a one-node MFFC whose table no existing
-        # literal computes gets no cache lookup and no pool task.
-        wanted = []
-        for (i, c), tt in zip(live, tts):
-            if (
-                self.params.zero_cost
-                or not mffc_is_root_alone(g, c.node, c.leaves)
-                or realizable_by_reuse(g, c.node, c.leaves, tt)
-            ):
-                wanted.append((i, (tt, len(c.leaves))))
-        stats.screened += len(items) - len(wanted)
-        stats.time_truth += time.perf_counter() - t0
-
-        # Resolve each unique cut function through the cross-pass cache;
-        # only true misses are shipped to the worker pool.
-        entries: dict[tuple[int, int], tuple | None] = {}
-        todo: list[tuple[int, int]] = []
-        for _i, key in wanted:
-            if key in entries:
-                continue
-            hit = self.cache.get(key)
-            entries[key] = hit
-            if hit is None:
-                todo.append(key)
-        stats.n_tasks += len(wanted)
-        stats.n_unique_tasks += len(todo)
-        if todo:
-            pooled = self.executor.will_pool(len(todo))
-            t0 = time.perf_counter()
-            for key, entry in zip(todo, self.executor.run(todo, deadline=self.deadline)):
-                self.cache[key] = entry
-                entries[key] = entry
-            elapsed = time.perf_counter() - t0
-            if pooled:
-                stats.time_parallel += elapsed
-            stats.time_resynth += elapsed
-        entry_of = {i: entries[key] for i, key in wanted}
-        return [(entry_of.get(i), tt_of.get(i)) for i, _c in items]
-
-    def commit(self, g: AIG, candidate: Candidate, result, stats, dirty: set) -> None:
-        stats.nodes_visited += 1
-        stats.cuts_formed += 1
-        entry, tt = result
-        leaves = list(candidate.leaves)
-
-        def resolve(tt: int) -> tuple:
-            # A survivor screened at evaluate time whose screen no longer
-            # holds on the current graph: resynthesize it here.
-            if entry is not None:
-                return entry
-            stats.screen_fallbacks += 1
-            return _resynthesize(tt, len(leaves), self.params, self.cache)
-
-        screen_and_commit(
-            g,
-            candidate.node,
-            leaves,
-            self.params,
-            self.required,
-            stats,
-            self._twins,
-            resolve,
-            tt=tt,
-            dirty=dirty,
-        )
-
-    def finish(self, stats) -> None:
-        owner = self.cache._owner()
-        stats.n_cache_hits = owner.hits_exact - self._hits_exact0
-        stats.n_npn_hits = owner.hits_npn - self._hits_npn0
-
-
 class RewriteWaveOp(WaveOperator):
     """DAC'06 cut rewriting on the wave pipeline.
 
@@ -308,7 +107,7 @@ class RewriteWaveOp(WaveOperator):
     canonization per distinct function per flow.  No worker pool: a
     library lookup is a dict probe (at worst one 222-class synthesis per
     process), far below process-dispatch cost — the batching *is* the
-    speedup, matching the ELF trick of fusing per-wave evaluation.
+    speedup.
 
     Commit: :func:`repro.opt.rewrite.node_screened`, then
     :func:`repro.opt.rewrite.commit_scored` — the exact MFFC/strash-aware
@@ -394,9 +193,9 @@ class RewriteWaveOp(WaveOperator):
             stats.nodes_visited += 1
             return None
         interior_union = frozenset().union(*(interior for _, interior in cuts))
-        # Conservative mffc = interior bound, as in the refactor refresh:
-        # any cut-bounded MFFC is a subset of its cut's interior and the
-        # commit-time gain check recomputes the exact set anyway.
+        # Conservative mffc = interior bound: any cut-bounded MFFC is a
+        # subset of its cut's interior, and the commit-time gain check
+        # recomputes the exact set anyway.
         return self._build_candidate(candidate.node, cuts, interior_union)
 
     def evaluate(self, g: AIG, items: list, stats) -> list:

@@ -3,9 +3,8 @@
 Resynthesis — ISOP extraction plus algebraic factoring — is a pure
 function of ``(truth table, leaf count)`` and never touches the AIG, so
 it is the one refactoring phase that parallelizes without sharing the
-graph.  The scheduler ships each wave's *unique* cut functions here in
-chunks; winning factored forms are replayed against the main graph
-serially by the scheduler.
+graph.  No command uses this pool any more (``pf`` / ``pelf`` run the
+sequential sweep, ``docs/engine.md``); it is slated for deletion.
 
 The executor keeps one ``multiprocessing`` pool alive across waves
 (fork start method where available, so workers inherit the imported
@@ -46,7 +45,7 @@ the round's tasks into one shared-memory segment and ships workers
 ``(descriptor, start, stop)`` ranges instead of pickled big-int lists —
 the per-wave serialized volume drops to one flat copy plus a few dozen
 bytes per chunk.  The ``transport`` parameter pins ``"shm"`` or
-``"pickle"`` explicitly (benchmarks compare the two); ``"auto"`` uses
+``"pickle"`` explicitly (the tests compare the two); ``"auto"`` uses
 shared memory whenever the platform forks and the payload is worth a
 segment, and falls back to pickle otherwise — or on any segment-creation
 error, counted by ``engine_shm_fallbacks_total``.  Segment lifecycle is

@@ -3,24 +3,21 @@
 One engine pass over a network runs in four phases, none of which knows
 which operator it is running — everything operator-specific sits behind
 the :class:`repro.engine.operators.WaveOperator` protocol (``snapshot`` /
-``evaluate`` / ``commit`` plus lifecycle glue):
+``evaluate`` / ``commit`` plus lifecycle glue).  The one operator on it
+today is wave rewriting (``prw`` / ``prwz``):
 
 1. **Snapshot sweep** — every live AND is offered to the operator's
-   ``snapshot`` hook exactly once, on the unmodified graph; refactor
-   returns its reconvergence cut + cut-bounded MFFC (+ ELF features),
-   rewrite its 4-feasible cut set with a union footprint.
+   ``snapshot`` hook exactly once, on the unmodified graph; rewrite
+   returns its 4-feasible cut set with a union footprint.
 2. **Conflict planning** — candidates whose commits could interfere are
    linked in a conflict graph (:mod:`repro.engine.conflict`) and greedily
    colored into conflict-free commit waves; the same sweep builds the
    inverted candidate index the incremental machinery runs on.
-3. **Per wave** — members with features are stacked and classified with
-   a single fused inference (the paper's batching trick, applied per
-   wave); survivors are handed to the operator's ``evaluate`` hook as
-   one batch (refactor: multi-root truth kernel + pooled resynthesis
-   through the cross-pass NPN-aware cache; rewrite: multi-root truth
-   kernel + cached NPN-library lookups); results are gain-checked and
-   committed serially in ascending node order through the operator's
-   ``commit`` hook — the same commit code the sequential operators use.
+3. **Per wave** — the wave's members are handed to the operator's
+   ``evaluate`` hook as one batch (multi-root truth kernel + cached
+   NPN-library lookups); results are gain-checked and committed serially
+   in ascending node order through the operator's ``commit`` hook — the
+   same commit code the sequential operator uses.
 4. **Incremental re-snapshot** — each commit drains the graph's dirty
    journal; the killed set, pushed through the candidate index, yields
    the exact set of candidates whose snapshots the commit invalidated
@@ -31,13 +28,19 @@ the :class:`repro.engine.operators.WaveOperator` protocol (``snapshot`` /
    lands in a **repair wave** that runs immediately after — the wave
    effectively splits at the first realized conflict, keeping the
    global commit order close to the sequential sweep's node order.
-   There is no sequential fallback: ``n_stale`` is structurally zero,
-   and every node — fresh or refreshed — flows through the same batched
-   classify/evaluate pipeline.
+   There is no sequential fallback: ``n_stale`` is structurally zero.
 
 ``workers <= 1`` bypasses all of the above and *delegates* to the
-sequential operators, which makes the single-worker engine bit-identical
-to ``refactor()`` / ``elf_refactor()`` / ``rewrite()`` by construction.
+sequential :func:`repro.opt.rewrite.rewrite`, bit for bit.
+
+The refactor family (``pf`` / ``pelf``) runs the sequential
+``refactor()`` / ``elf_refactor()`` at **every** width
+(:func:`engine_refactor`).  After the exact screens a resynthesis task
+costs less than a pipe round trip, and two measured alternatives lost
+to the sequential sweep (``docs/engine.md``): speculative pooled
+prefetch was no faster, and node-range workers that return only
+winners lost QoR beyond the 1% bound until re-evaluation made them
+serial again.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..aig.graph import AIG
-from ..cuts.features import stack_features
 from ..errors import DeadlineExceeded
 from ..opt.refactor import (
     RefactorParams,
@@ -59,53 +61,33 @@ from ..opt.rewrite import RewriteParams, RewriteStats, rewrite
 from ..resilience import Deadline, policy
 from .cache import ResynthCache
 from .conflict import Candidate, CandidateIndex, build_conflict_graph, color_waves
-from .operators import RefactorWaveOp, RewriteWaveOp, WaveOperator
-from .parallel import ResynthExecutor
+from .operators import RewriteWaveOp, WaveOperator
 
 
 @dataclass
 class EngineParams:
-    """Engine knobs on top of the base refactor parameters.
+    """Parameters of one ``pf`` / ``pelf`` pass.
 
-    ``workers = 0`` means auto (one worker per available core).
-
-    ``executor`` plugs in an externally owned :class:`ResynthExecutor`
-    so one worker pool can be shared across many engine passes — the
-    serving layer runs every circuit of a shard through the same pool
-    instead of forking a fresh one per pass.  An external executor
-    overrides ``workers`` (the pool was sized at construction) and is
-    left open when the pass finishes; its ``params`` are what pooled
-    resynthesis uses, so keep them consistent with ``refactor``.
+    ``workers`` is the requested width (``0`` = auto, one per core).  It
+    is recorded on the stats and accepted for compatibility, but every
+    width runs the sequential operator (see :func:`engine_refactor`).
 
     ``resynth_cache`` plugs in an externally owned
     :class:`repro.engine.cache.ResynthCache` so factored forms survive
     across passes — ``run_flow`` hands every refactor-family step of one
     script the same cache, which is what makes the second ``elf`` of an
-    ``elf; elf`` flow start warm.  Wave mode reads it through its NPN
-    view; the ``workers=1`` delegation passes it to the sequential
-    operator as an exact-only cache (bit-identical entries).
+    ``elf; elf`` flow start warm.  Its entries are exact, so a warm start
+    is bit-identical to a cold one.
     """
 
     refactor: RefactorParams = field(default_factory=RefactorParams)
     workers: int = 0
-    # Classification mode for the ``workers=1`` delegation to the
-    # sequential ELF operator (wave mode always classifies batched, one
-    # fused inference per wave); mirrors ``ElfParams.batched``.
-    elf_batched: bool = True
-    executor: "ResynthExecutor | None" = None
     resynth_cache: "ResynthCache | None" = None
-    # Task transport of a pass-owned executor: "auto" | "shm" | "pickle"
-    # (see ResynthExecutor; an external ``executor`` keeps its own).
-    transport: str = "auto"
-    # Latency budget for this pass: checked at wave boundaries and bound
-    # onto every pooled chunk wait; expiry raises DeadlineExceeded with
-    # the graph left at a consistent committed prefix (commits are
-    # serial, so there is no torn state to roll back).
+    # Latency budget: an already-expired budget refuses to start the pass
+    # (the sequential sweep has no wave boundaries to check at).
     deadline: "Deadline | None" = None
 
     def resolved_workers(self) -> int:
-        if self.executor is not None:
-            return self.executor.workers
         if self.workers > 0:
             return self.workers
         return os.cpu_count() or 1
@@ -115,14 +97,11 @@ class EngineParams:
 class RewriteEngineParams:
     """Engine knobs for the wave-rewrite pass (``prw`` / ``prwz``).
 
-    ``workers`` selects the mode exactly like :class:`EngineParams`:
-    ``<= 1`` delegates to the sequential :func:`repro.opt.rewrite.rewrite`
-    (bit-identical by construction), ``>= 2`` runs the wave pipeline, and
-    ``0`` means auto.  ``executor`` is accepted for server-hook symmetry
-    with the refactor engine — a shared executor's width sizes the pass
-    (the pool was provisioned for the whole served flow) — but rewrite
-    evaluation never dispatches to it: NPN-library lookups are memoized
-    dict probes, far below process-dispatch cost.
+    ``workers`` selects the mode: ``<= 1`` delegates to the sequential
+    :func:`repro.opt.rewrite.rewrite` (bit-identical by construction),
+    ``>= 2`` runs the wave pipeline, and ``0`` means auto.  The waves run
+    in-process: NPN-library lookups are memoized dict probes, far below
+    process-dispatch cost.
 
     ``resynth_cache`` shares the flow-level cache's *library layer*
     (:meth:`repro.engine.cache.ResynthCache.library_lookup`), so every
@@ -133,15 +112,14 @@ class RewriteEngineParams:
 
     rewrite: RewriteParams = field(default_factory=RewriteParams)
     workers: int = 0
-    executor: "ResynthExecutor | None" = None
     resynth_cache: "ResynthCache | None" = None
     library: object | None = None
-    # Same wave-boundary latency budget as EngineParams.deadline.
+    # Latency budget for this pass: checked at wave boundaries; expiry
+    # raises DeadlineExceeded with the graph left at a consistent
+    # committed prefix (commits are serial, so there is no torn state).
     deadline: "Deadline | None" = None
 
     def resolved_workers(self) -> int:
-        if self.executor is not None:
-            return self.executor.workers
         if self.workers > 0:
             return self.workers
         return os.cpu_count() or 1
@@ -151,12 +129,14 @@ class RewriteEngineParams:
 class EngineStats(RefactorStats):
     """`RefactorStats` plus the engine's scheduling counters.
 
-    One stats type serves every wave operator; ``operator`` records which
-    one ran.  For rewrite runs the inherited counters are mapped from
+    One stats type serves both engine commands; ``operator`` records
+    which one ran.  Refactor passes always delegate: they report one
+    wave per pass and no conflict or re-snapshot counters.  For rewrite
+    runs the inherited counters are mapped from
     :class:`repro.opt.rewrite.RewriteStats`: ``cuts_formed`` counts
     evaluated cuts (sequential ``cuts_tried``), ``fail_gain`` counts
-    nodes where no cut committed, and ``n_stale_cuts`` / ``n_library_hits``
-    are rewrite-specific (zero for refactor runs).
+    nodes where no cut committed, and ``n_stale_cuts`` /
+    ``n_library_hits`` are rewrite-specific.
     """
 
     operator: str = "refactor"
@@ -173,23 +153,20 @@ class EngineStats(RefactorStats):
     n_invalidated: int = 0
     n_resnapshotted: int = 0  # lazy cut/feature refreshes performed
     n_repair_waves: int = 0  # wave splits: repair rounds after deferrals
-    n_tasks: int = 0  # survivor evaluations requested
-    n_unique_tasks: int = 0  # after wave dedup + cross-pass cache hits
+    n_tasks: int = 0  # cut evaluations requested
+    n_unique_tasks: int = 0  # after library-layer cache hits
     n_cache_hits: int = 0  # exact resynthesis cache hits this pass
-    n_npn_hits: int = 0  # NPN-class remap hits this pass
     n_library_hits: int = 0  # rewrite-library layer hits this pass
     n_stale_cuts: int = 0  # rewrite cuts dropped as stale (dead/uncovered)
-    # Exact skips (docs/flows.md, "Lossless pruning").  Refactor: survivors
-    # screened at evaluate time, which get no truth table or no pool task.
-    # Rewrite: nodes and cuts skipped because the root has no twin, and
-    # cuts whose key bound cannot beat the best.  The names match
-    # RewriteStats, so ``commit_scored`` counts straight into them.
+    # Exact skips (docs/flows.md, "Lossless pruning").  Refactor: cuts the
+    # sequential screens rejected (``fail_screened``).  Rewrite: nodes and
+    # cuts skipped because the root has no twin, and cuts whose key bound
+    # cannot beat the best.  The names match RewriteStats, so
+    # ``commit_scored`` counts straight into them.
     screened: int = 0
     bounded: int = 0
-    screen_fallbacks: int = 0  # refactor: screened survivors resynthesized at commit
     time_snapshot: float = 0.0
     time_conflict: float = 0.0
-    time_parallel: float = 0.0  # wall time inside the worker pool
     time_replay: float = 0.0
     time_resnapshot: float = 0.0  # cross-wave re-snapshot + requeue time
 
@@ -213,43 +190,24 @@ def engine_refactor(
     params: EngineParams | None = None,
     classifier=None,
 ) -> EngineStats:
-    """One conflict-wave refactor pass over ``g`` in place.
+    """One ``pf`` pass over ``g`` in place (``pelf`` with ``classifier``).
 
-    With ``classifier`` the engine is the parallel deployment of ELF
-    (each wave is classified with one fused inference); without it, the
-    engine parallelizes the plain refactor operator.
+    Runs the sequential :func:`repro.opt.refactor.refactor` (or
+    :func:`repro.elf.operator.elf_refactor`) at every worker count, so
+    the output is byte-identical to ``rf`` / ``elf`` at any ``-w``.  The
+    result is an :class:`EngineStats` with ``delegated`` set and the
+    requested width in ``workers``.
     """
     params = params or EngineParams()
+    if params.deadline is not None:
+        params.deadline.check("engine.pass")
     workers = params.resolved_workers()
-    if workers <= 1:
-        # The sequential delegation has no wave boundaries to check at;
-        # an already-expired budget still refuses to start the pass.
-        if params.deadline is not None:
-            params.deadline.check("engine.pass")
-        with obs.span("engine.pass", operator="refactor", workers=1, delegated=True):
-            stats = _delegate_sequential(g, params, classifier)
-        _record_pass_metrics(stats)
-        return stats
-
-    stats = EngineStats(workers=workers)
-    base_cache = params.resynth_cache
-    if base_cache is None:
-        base_cache = ResynthCache()
-    executor = params.executor
-    own_executor = executor is None
-    if own_executor:
-        executor = ResynthExecutor(workers, params.refactor, transport=params.transport)
-    op = RefactorWaveOp(
-        params.refactor,
-        base_cache.npn_view(),
-        executor,
-        want_features=classifier is not None,
-    )
-    try:
-        run_wave_pass(g, op, stats, classifier=classifier, deadline=params.deadline)
-    finally:
-        if own_executor:
-            executor.close()
+    with obs.span(
+        "engine.pass", operator="refactor", workers=workers, delegated=True
+    ) as pass_span:
+        stats = _delegate_sequential(g, params, classifier, workers)
+        pass_span.set(screened=stats.screened, commits=stats.commits)
+    _record_pass_metrics(stats)
     return stats
 
 
@@ -259,7 +217,7 @@ def engine_rewrite(
 ) -> EngineStats:
     """One conflict-wave rewrite pass over ``g`` in place.
 
-    The same scheduler as :func:`engine_refactor`, driving the
+    :func:`run_wave_pass` driving the
     :class:`repro.engine.operators.RewriteWaveOp` adapter; ``workers <= 1``
     delegates to the sequential :func:`repro.opt.rewrite.rewrite`
     bit-identically.
@@ -284,32 +242,35 @@ def engine_rewrite(
     if library is None:  # NB: a fresh library is empty and therefore falsy
         library = default_library()
     op = RewriteWaveOp(params.rewrite, base_cache, library)
-    run_wave_pass(g, op, stats, classifier=None, deadline=params.deadline)
+    run_wave_pass(g, op, stats, deadline=params.deadline)
     return stats
 
 
-def _delegate_sequential(g: AIG, params: EngineParams, classifier) -> EngineStats:
-    """Deterministic in-process mode: run the sequential operator as-is.
+def _delegate_sequential(
+    g: AIG, params: EngineParams, classifier, workers: int
+) -> EngineStats:
+    """Run the sequential operator as-is and map its counters.
 
-    A shared ``resynth_cache`` is passed through as an exact-only cache:
-    entries are pure functions of ``(tt, n_leaves)``, so warm starts stay
-    bit-identical to a cold sequential run.
+    A shared ``resynth_cache`` is passed through: entries are pure
+    functions of ``(tt, n_leaves)``, so warm starts stay bit-identical
+    to a cold sequential run.
     """
     cache = params.resynth_cache
+    hits0 = cache.hits_exact if cache is not None else 0
     if classifier is None:
         base = refactor(g, params.refactor, cache=cache)
     else:
         from ..elf.operator import ElfParams, elf_refactor
 
         base = elf_refactor(
-            g,
-            classifier,
-            ElfParams(refactor=params.refactor, batched=params.elf_batched),
-            cache=cache,
+            g, classifier, ElfParams(refactor=params.refactor), cache=cache
         )
-    stats = EngineStats(workers=1, delegated=True)
+    stats = EngineStats(workers=workers, delegated=True)
     for f in dataclasses.fields(RefactorStats):
         setattr(stats, f.name, getattr(base, f.name))
+    stats.screened = base.fail_screened
+    if cache is not None:
+        stats.n_cache_hits = cache.hits_exact - hits0
     stats.n_candidates = base.nodes_visited
     stats.n_waves = 1 if base.nodes_visited else 0
     return stats
@@ -337,21 +298,18 @@ def run_wave_pass(
     g: AIG,
     op: WaveOperator,
     stats: EngineStats,
-    classifier=None,
     deadline: "Deadline | None" = None,
 ) -> EngineStats:
     """Run one generic wave pass of ``op`` over ``g`` in place.
 
     The scheduler owns everything operator-agnostic — candidate
-    bookkeeping, conflict planning, wave coloring, fused classification
-    (when ``classifier`` is given and the operator snapshots features),
-    invalidation and repair waves — and calls the operator's hooks for
-    the rest.  ``stats`` is the caller-constructed :class:`EngineStats`
-    (mutated in place and returned).
+    bookkeeping, conflict planning, wave coloring, invalidation and
+    repair waves — and calls the operator's hooks for the rest.
+    ``stats`` is the caller-constructed :class:`EngineStats` (mutated in
+    place and returned).
 
     ``deadline`` bounds the pass: it is checked before every wave (and
-    repair round), handed to the operator (``op.deadline``) so pooled
-    evaluation bounds its chunk waits, and expiry raises
+    repair round), and expiry raises
     :class:`repro.errors.DeadlineExceeded` **after** the operator's
     ``finish`` hook and the pass metrics run — commits are serial, so
     the graph is always a consistent, CEC-verifiable prefix of the full
@@ -364,7 +322,6 @@ def run_wave_pass(
     enabled, a Chrome-trace timeline and the stats report can never
     disagree, because they are the same measurements.
     """
-    op.deadline = deadline
     exceeded: DeadlineExceeded | None = None
     with obs.span(
         "engine.pass", operator=stats.operator, workers=stats.workers
@@ -420,7 +377,6 @@ def run_wave_pass(
                             members,
                             candidates,
                             index,
-                            classifier,
                             stats,
                             pending,
                             stale,
@@ -432,11 +388,9 @@ def run_wave_pass(
                     members = sorted(i for i in deferred if i in pending)
                     repair = True
         except DeadlineExceeded as error:
-            # Wave-boundary expiry, or a bounded chunk wait inside the
-            # executor.  Evaluation runs before any of its wave's commits
-            # and commits are serial, so the graph holds exactly the
-            # waves committed so far — finish the pass bookkeeping, then
-            # re-raise below (outside the spans) for the caller.
+            # Wave-boundary expiry.  Commits are serial, so the graph
+            # holds exactly the waves committed so far — finish the pass
+            # bookkeeping, then re-raise below (outside the spans).
             exceeded = error
         op.finish(stats)
         pass_span.set(
@@ -445,12 +399,9 @@ def run_wave_pass(
             n_invalidated=stats.n_invalidated,
             n_resnapshotted=stats.n_resnapshotted,
             n_repair_waves=stats.n_repair_waves,
-            n_cache_hits=stats.n_cache_hits,
-            n_npn_hits=stats.n_npn_hits,
             n_library_hits=stats.n_library_hits,
             screened=stats.screened,
             bounded=stats.bounded,
-            screen_fallbacks=stats.screen_fallbacks,
             dedup_rate=round(stats.dedup_rate, 6),
             commits=stats.commits,
         )
@@ -481,9 +432,7 @@ def _record_pass_metrics(stats: EngineStats) -> None:
     m.counter("engine_resnapshotted_total", operator=op).add(stats.n_resnapshotted)
     m.counter("engine_repair_waves_total", operator=op).add(stats.n_repair_waves)
     m.counter("engine_screened_total", operator=op).add(stats.screened + stats.bounded)
-    m.counter("engine_screen_fallbacks_total", operator=op).add(stats.screen_fallbacks)
     m.counter("engine_cache_hits_total", operator=op, layer="exact").add(stats.n_cache_hits)
-    m.counter("engine_cache_hits_total", operator=op, layer="npn").add(stats.n_npn_hits)
     m.counter("engine_cache_hits_total", operator=op, layer="library").add(
         stats.n_library_hits
     )
@@ -543,12 +492,11 @@ def _run_wave(
     member_indices: list[int],
     candidates: list[Candidate],
     index: CandidateIndex,
-    classifier,
     stats: EngineStats,
     pending: set[int],
     stale: set[int],
 ) -> set[int]:
-    """Classify, batch-evaluate and commit one wave through the operator.
+    """Batch-evaluate and commit one wave through the operator.
 
     Stale members are re-snapshotted up front, so the operator's batch
     evaluation only ever sees snapshots that describe the current graph.
@@ -560,29 +508,9 @@ def _run_wave(
         g, op, member_indices, candidates, index, stats, pending, stale
     )
 
-    # One fused classification per wave over the stacked feature matrix.
-    survivors: list[tuple[int, Candidate]] = []
-    if classifier is not None and op.wants_features:
-        if not members:
-            return set()
-        with obs.span("engine.classify", members=len(members)) as sp:
-            matrix = stack_features([c.features for _, c in members])
-            keep = classifier.keep_mask(matrix)
-        stats.time_inference += sp.duration
-        for (i, candidate), keep_one in zip(members, keep):
-            if keep_one:
-                survivors.append((i, candidate))
-            else:
-                stats.nodes_visited += 1
-                stats.pruned += 1
-                pending.discard(i)
-    else:
-        survivors = members
-
-    # The operator's batchable middle: truth kernels, cache lookups,
-    # pooled resynthesis — whatever the operator fuses per wave.
-    with obs.span("engine.evaluate", survivors=len(survivors)):
-        results = op.evaluate(g, survivors, stats)
+    # The operator's batchable middle: truth kernels and cache lookups.
+    with obs.span("engine.evaluate", survivors=len(members)):
+        results = op.evaluate(g, members, stats)
 
     # Serial replay in ascending node order.  Each commit drains the
     # dirty journal and pushes the killed set through the candidate
@@ -591,8 +519,8 @@ def _run_wave(
     # invalidated members of *this* wave are additionally deferred so
     # the caller can split them off into an immediate repair wave.
     with obs.span("engine.commit") as commit_span:
-        replay = sorted(zip(survivors, results), key=lambda item: item[0][1].node)
-        unprocessed = {i for i, _ in survivors}
+        replay = sorted(zip(members, results), key=lambda item: item[0][1].node)
+        unprocessed = {i for i, _ in members}
         deferred: set[int] = set()
         for (i, candidate), result in replay:
             unprocessed.discard(i)

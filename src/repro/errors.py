@@ -37,8 +37,8 @@ class RetryableError(ReproError):
     """A failure the resilience layer may retry (transient by contract).
 
     Raising one of these tells the recovery machinery that repeating the
-    operation — possibly after a backoff, a pool respawn, or a transport
-    downgrade — is expected to succeed; see
+    operation — possibly after a backoff or a process respawn — is
+    expected to succeed; see
     :mod:`repro.resilience.policy` for how retry budgets are spent.
     """
 
@@ -47,17 +47,7 @@ class FatalError(ReproError):
     """A failure no retry can fix (misconfiguration, corrupted state).
 
     The resilience layer never retries these: they propagate to the
-    caller immediately, bypassing the degradation ladder.
-    """
-
-
-class WorkerCrashError(RetryableError):
-    """A pool worker died (OOM/SIGKILL) or hung past its chunk deadline.
-
-    Raised by :class:`repro.engine.parallel.ResynthExecutor` only after
-    the retry budget is exhausted *and* in-process degradation is
-    impossible; during recovery the crash is counted
-    (``engine_worker_deaths_total``) and handled internally.
+    caller immediately.
     """
 
 
@@ -69,7 +59,7 @@ class DeadlineExceeded(ReproError):
     valid, CEC-verifiable AIG reflecting every completed commit, and
     ``report`` covers the flow steps that finished.  ``site`` names the
     checkpoint that observed the expiry (``"flow.command"``,
-    ``"engine.wave"``, ``"executor.chunk"``, ...).
+    ``"engine.wave"``, ``"engine.pass"``, ...).
     """
 
     def __init__(self, message: str = "deadline exceeded", site: str = "",

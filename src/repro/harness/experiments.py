@@ -121,13 +121,8 @@ def comparison_rows(
     classifiers: dict[str, ElfClassifier],
     elf_applications: int = 1,
     params: ElfParams | None = None,
-    engine_workers: int | None = None,
 ) -> list[ComparisonRow]:
-    """Tables III/IV/V: baseline refactor vs ELF per design.
-
-    ``engine_workers`` additionally runs the conflict-wave engine per
-    design and fills each row's ``engine_*`` columns.
-    """
+    """Tables III/IV/V: baseline refactor vs ELF per design."""
     rows = []
     for name, g in suite.items():
         rows.append(
@@ -136,7 +131,6 @@ def comparison_rows(
                 classifiers[name],
                 params,
                 elf_applications=elf_applications,
-                engine_workers=engine_workers,
             )
         )
     return rows
@@ -144,11 +138,10 @@ def comparison_rows(
 
 @dataclass
 class EngineScalingRow:
-    """One (design, workers) measurement of the conflict-wave engine.
+    """One (design, workers) measurement of the wave-rewrite engine.
 
     ``workers == 0`` encodes the sequential baseline the speedups are
-    normalized against; ``operator`` names the wave operator measured
-    (``"refactor"`` or ``"rewrite"``).
+    normalized against.
     """
 
     design: str
@@ -162,7 +155,6 @@ class EngineScalingRow:
     n_resnapshotted: int = 0  # cross-wave incremental snapshot refreshes
     dedup_rate: float = 0.0  # evaluation tasks eliminated by dedup/cache
     commits: int = 0
-    operator: str = "refactor"
     graph: AIG | None = None  # the optimized clone (for CEC by callers)
 
 
@@ -170,64 +162,39 @@ def engine_scaling(
     g: AIG,
     workers_list: tuple[int, ...] = (1, 2, 4),
     params=None,
-    classifier: ElfClassifier | None = None,
-    operator: str = "refactor",
 ) -> list[EngineScalingRow]:
-    """Sequential sweep vs the wave engine at each worker count.
+    """Sequential ``rw`` vs the wave-rewrite engine at each worker count.
 
     Every run starts from a fresh clone.  The first returned row
     (``workers == 0``) is the sequential baseline; every engine row
-    carries its speedup against it.  ``operator`` selects the wave
-    operator: ``"refactor"`` (optionally classifier-pruned) or
-    ``"rewrite"``; rewrite runs use a private NPN library per timed run
-    so no run starts with another's canonization cache.
+    carries its speedup against it.  Each timed run uses a private NPN
+    library so no run starts with another's canonization cache.
+    (``pf`` is not measured here: it runs ``rf`` at every width.)
 
     Runtimes are the operators' own ``stats.time_total``, which the
-    :mod:`repro.obs` span instrumentation fills — the benchmark no
-    longer keeps a hand-rolled clock around each run, so its numbers
-    are exactly the timings a trace export of the same run shows.
+    :mod:`repro.obs` span instrumentation fills, so the numbers are
+    exactly the timings a trace export of the same run shows.
     """
-    from ..engine import (
-        EngineParams,
-        RewriteEngineParams,
-        engine_refactor,
-        engine_rewrite,
-    )
+    from ..engine import RewriteEngineParams, engine_rewrite
     from ..factor.factoring import clear_factor_memo
     from ..opt.npn_library import NpnLibrary
     from ..opt.rewrite import rewrite as rewrite_pass
     from ..tt.isop import clear_isop_memo
 
-    if operator not in ("refactor", "rewrite"):
-        raise ValueError(f"unknown engine_scaling operator {operator!r}")
-    if operator == "rewrite":
-        rewrite_params = params or RewriteEngineParams()
+    rewrite_params = params or RewriteEngineParams()
 
-        def run_baseline(clone):
-            return rewrite_pass(clone, rewrite_params.rewrite, library=NpnLibrary())
+    def run_baseline(clone):
+        return rewrite_pass(clone, rewrite_params.rewrite, library=NpnLibrary())
 
-        def run_engine(clone, workers):
-            return engine_rewrite(
-                clone,
-                RewriteEngineParams(
-                    rewrite=rewrite_params.rewrite,
-                    workers=workers,
-                    library=NpnLibrary(),
-                ),
-            )
-
-    else:
-        engine_params = params or EngineParams()
-
-        def run_baseline(clone):
-            return refactor(clone, engine_params.refactor)
-
-        def run_engine(clone, workers):
-            return engine_refactor(
-                clone,
-                EngineParams(refactor=engine_params.refactor, workers=workers),
-                classifier=classifier,
-            )
+    def run_engine(clone, workers):
+        return engine_rewrite(
+            clone,
+            RewriteEngineParams(
+                rewrite=rewrite_params.rewrite,
+                workers=workers,
+                library=NpnLibrary(),
+            ),
+        )
 
     # One untimed full-size pass first: the first big pass of a process
     # pays one-time costs (bytecode warmup, allocator arena growth) that
@@ -251,7 +218,6 @@ def engine_scaling(
             level=baseline_g.max_level(),
             speedup=1.0,
             commits=baseline_stats.commits,
-            operator=operator,
             graph=baseline_g,
         )
     ]
@@ -274,7 +240,6 @@ def engine_scaling(
                 n_resnapshotted=stats.n_resnapshotted,
                 dedup_rate=stats.dedup_rate,
                 commits=stats.commits,
-                operator=operator,
                 graph=engine_g,
             )
         )

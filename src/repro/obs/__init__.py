@@ -1,7 +1,7 @@
 """``repro.obs`` — unified tracing + metrics for every layer of repro.
 
 One lightweight, dependency-free observability spine shared by the wave
-engine, the flow/session layer, the worker pool and the serve tier:
+engine, the flow/session layer, the resynthesis pool and the serve tier:
 
 * **Spans** (:func:`span`) — hierarchical timed regions on
   ``time.perf_counter`` with structured attributes.  The scheduler emits
@@ -11,10 +11,10 @@ engine, the flow/session layer, the worker pool and the serve tier:
   measures its duration (the stats fields the code always filled keep
   their exact semantics) but records nothing.
 * **Metrics** (:func:`metrics`) — an always-on registry of counters /
-  gauges / histograms (:mod:`repro.obs.metrics`).  Worker processes ship
-  per-chunk deltas home as serialized snapshots piggybacked on pool task
-  results (:func:`merge_worker_snapshot`) — no extra IPC round-trips,
-  and an errored chunk loses only its own delta.
+  gauges / histograms (:mod:`repro.obs.metrics`).  Resynthesis-pool
+  workers ship per-chunk deltas home as serialized snapshots piggybacked
+  on task results (:func:`merge_worker_snapshot`) — no extra IPC
+  round-trips, and an errored chunk loses only its own delta.
 * **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
   (load a flow in ``chrome://tracing`` / Perfetto and read waves off a
   timeline), Prometheus text format, and round-trippable JSONL; the

@@ -12,11 +12,8 @@ Everything is dependency-free and cheap enough to stay **always on**
 (unlike tracing, which is opt-in): an update is one dict probe plus an
 add under the registry lock.  The registry serializes to a plain-dict
 :meth:`~MetricsRegistry.snapshot` and merges snapshots back with
-:meth:`~MetricsRegistry.merge` — the mechanism worker processes use to
-ship their per-chunk deltas home by piggybacking on pool task results
-(:mod:`repro.engine.parallel`), with no extra IPC round-trips.  A worker
-whose chunk errors contributes no snapshot, so a lost task loses only
-its own delta.
+:meth:`~MetricsRegistry.merge`, so a child process can ship its
+counters home as one JSON-able dict.
 """
 
 from __future__ import annotations
@@ -163,10 +160,10 @@ class MetricsRegistry:
 
     One lock covers creation and every update — coarse, but the repo's
     instruments update at wave/command/circuit granularity, far below
-    contention range.  ``snapshot()``/``merge()`` are the worker-delta
-    transport: a snapshot is a plain (JSON-able) dict, and merging adds
-    counters, last-writes gauges and folds histogram moments, so deltas
-    from any number of workers compose associatively.
+    contention range.  ``snapshot()``/``merge()`` are the cross-process
+    delta format: a snapshot is a plain (JSON-able) dict, and merging
+    adds counters, last-writes gauges and folds histogram moments, so
+    deltas from any number of processes compose associatively.
     """
 
     def __init__(self) -> None:
@@ -227,7 +224,7 @@ class MetricsRegistry:
     def histograms(self) -> list[Histogram]:
         return list(self._histograms.values())
 
-    # -- snapshot / merge (the worker-delta transport) -----------------------
+    # -- snapshot / merge (the cross-process delta format) ---------------------
 
     def snapshot(self) -> dict:
         """Serializable (plain-dict) state of every instrument."""

@@ -23,14 +23,13 @@ from .registry import (
 )
 from .resub import ResubParams, ResubStats, resub
 from .rewrite import RewriteParams, RewriteStats, rewrite
-from .session import DroppedExecutor, FlowContext, OptSession, SessionStats
+from .session import FlowContext, OptSession, SessionStats
 
 __all__ = [
     "COMPRESS2",
     "CommandFlags",
     "CommandRegistry",
     "CommandSpec",
-    "DroppedExecutor",
     "FlowContext",
     "FlowReport",
     "FlowStep",

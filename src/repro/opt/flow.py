@@ -5,13 +5,15 @@
 node counts, depths and runtimes — this powers the paper's claim that
 refactor consumes 20-40% of a resyn2-style flow despite running only
 twice (SS II).  ELF steps (``elf``/``elfz``) slot into the same scripts
-when a classifier is supplied, and every operator with a wave engine
-has a parallel spelling (``pf``/``pelf``/``prw`` + zero-cost variants).
+when a classifier is supplied.  The engine spellings
+(``pf``/``pelf``/``prw`` + zero-cost variants) accept ``-w N``: ``prw``
+runs conflict-free rewrite waves, and ``pf``/``pelf`` produce exactly
+``rf``/``elf``'s output at every width.
 
 The execution machinery lives elsewhere: commands are *registered*
 :class:`repro.opt.registry.CommandSpec` entries (not a switch), and the
-resources a script shares — resynthesis cache, NPN library, classifier,
-engine worker pool — are owned by a :class:`repro.opt.session.OptSession`.
+resources a script shares — resynthesis cache, NPN library, classifier
+— are owned by a :class:`repro.opt.session.OptSession`.
 :func:`run_flow` is the one-shot convenience wrapper (one throwaway
 session per call); long-lived callers, the serving layer, and anyone
 registering new commands should hold a session directly.
@@ -54,10 +56,7 @@ class FlowStep:
 
     ``command`` keeps the raw spelling from the script; ``normalized``
     is the alias-resolved form the report's accounting matches on (it
-    defaults from ``command`` when not given).  ``executor_dropped``
-    records that a shared engine executor was discarded because this
-    step pinned a conflicting ``-w`` (the pin wins; see
-    :meth:`repro.opt.session.FlowContext.engine_resources`).
+    defaults from ``command`` when not given).
     """
 
     command: str
@@ -66,7 +65,6 @@ class FlowStep:
     level: int
     detail: object = None
     normalized: str = ""
-    executor_dropped: bool = False
 
     def __post_init__(self) -> None:
         if not self.normalized:
@@ -99,7 +97,6 @@ def run_flow(
     script: str = RESYN2,
     classifier=None,
     engine_workers: int | None = None,
-    engine_executor=None,
     registry: CommandRegistry | None = None,
 ) -> tuple[AIG, FlowReport]:
     """Execute a ``;``-separated command script; returns (network, report).
@@ -107,12 +104,12 @@ def run_flow(
     Commands: ``b`` (balance), ``rw``/``rwz`` (rewrite / zero-cost),
     ``rf``/``rfz`` (refactor / zero-cost; ``f``/``fz`` are aliases),
     ``rs``/``rsz`` (resub / zero-cost), ``elf``/``elfz`` (ELF-pruned
-    refactor; needs ``classifier``), ``pf``/``pfz`` (conflict-wave
-    parallel refactor), ``pelf``/``pelfz`` (parallel ELF; needs
-    ``classifier``) and ``prw``/``prwz`` (conflict-wave parallel
-    rewrite) — plus anything else registered on ``registry`` (default:
-    the process-wide :func:`repro.opt.registry.default_registry`).
-    ``-l`` preserves levels where the operator supports it; the parallel
+    refactor; needs ``classifier``), ``pf``/``pfz`` and ``pelf``/``pelfz``
+    (aliases of ``rf``/``rfz`` and ``elf``/``elfz`` that accept ``-w``)
+    and ``prw``/``prwz`` (conflict-wave parallel rewrite) — plus
+    anything else registered on ``registry`` (default: the process-wide
+    :func:`repro.opt.registry.default_registry`).
+    ``-l`` preserves levels where the operator supports it; the engine
     commands accept ``-w N`` to pin the worker count (0 = one per core).
     Unknown commands *and unsupported flags* raise
     :class:`repro.errors.ReproError`.
@@ -124,13 +121,9 @@ def run_flow(
     the script shares one cross-pass
     :class:`repro.engine.ResynthCache` (created lazily on first demand;
     e.g. the second ``elf`` of ``elf; elf`` starts with every factored
-    form the first derived), ``engine_workers`` is the worker count for
-    parallel commands with no explicit ``-w``, and ``engine_executor``
-    attaches a shared :class:`repro.engine.ResynthExecutor` (its width
-    governs unpinned parallel refactor steps; a conflicting explicit
-    ``-w`` drops it for that step — recorded on the step — and ``prw``
-    reads only its width).  Callers running many scripts, or many
-    circuits, should hold an :class:`~repro.opt.session.OptSession`
+    form the first derived), and ``engine_workers`` is the worker count
+    for engine commands with no explicit ``-w``.  Callers running many
+    scripts, or many circuits, should hold an :class:`~repro.opt.session.OptSession`
     directly and reuse its warm resources.
     """
     from .session import OptSession
@@ -138,7 +131,6 @@ def run_flow(
     with OptSession(
         classifier=classifier,
         engine_workers=engine_workers,
-        engine_executor=engine_executor,
         registry=registry,
     ) as session:
         return session.run(g, script)

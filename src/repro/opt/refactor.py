@@ -43,11 +43,7 @@ or counting:
    (:func:`~repro.aig.simulate.realizable_by_reuse`), ``count_tree``
    would have returned None.
 
-Either way the cut fails exactly as it would have.  The wave engine
-(:class:`repro.engine.operators.RefactorWaveOp`) runs both tests twice:
-at evaluate time, so a screened survivor never reaches the worker pool,
-and again through :func:`screen_and_commit` on the graph each commit
-sees, resynthesizing in-process when a screen no longer holds (see
+Either way the cut fails exactly as it would have (see
 ``docs/flows.md``).
 """
 
@@ -248,47 +244,13 @@ def refactor_node(
     if n_leaves < 2:
         stats.fail_trivial += 1
         return False
-    return screen_and_commit(
-        g,
-        node,
-        leaves,
-        params,
-        required,
-        stats,
-        twins,
-        lambda tt: _resynthesize(tt, n_leaves, params, cache),
-    )
-
-
-def screen_and_commit(
-    g: AIG,
-    node: int,
-    leaves: list[int],
-    params: RefactorParams,
-    required: RequiredLevels | None,
-    stats: RefactorStats,
-    twins: TwinScreen | None,
-    resolve,
-    tt: int | None = None,
-    dirty: set[int] | None = None,
-) -> bool:
-    """The twin test, then :func:`commit_tree` with the cut table.
-
-    Both screens of the module docstring run here, on the graph as it is
-    now.  ``tt`` is the cut function over ``leaves`` when the caller
-    already has it (the engine computes it per wave); otherwise it is
-    computed after the twin test.  ``resolve(tt)`` supplies the
-    ``(tree, inverted)`` pair; ``dirty`` is passed on to ``commit_tree``.
-    """
     t0 = time.perf_counter()
     if twins is not None and twin_screened(g, node, leaves, twins):
         stats.time_truth += time.perf_counter() - t0
         stats.fail_screened += 1
         return False
-    if tt is None:
-        tt = cone_truth(g, node, leaves)
+    tt = cone_truth(g, node, leaves)
     stats.time_truth += time.perf_counter() - t0
-
     return commit_tree(
         g,
         node,
@@ -296,8 +258,7 @@ def screen_and_commit(
         params,
         required,
         stats,
-        lambda: resolve(tt),
-        dirty=dirty,
+        lambda: _resynthesize(tt, n_leaves, params, cache),
         tt=tt,
     )
 
@@ -310,23 +271,16 @@ def commit_tree(
     required: RequiredLevels | None,
     stats: RefactorStats,
     resolve,
-    dirty: set[int] | None = None,
     tt: int | None = None,
 ) -> bool:
     """Gain-check and commit a factored replacement for ``node``.
 
-    ``resolve()`` lazily supplies the ``(tree, inverted)`` pair — the
-    sequential operator resynthesizes on demand, the parallel engine hands
-    over a form precomputed in a worker process.  It is not invoked when
-    the MFFC leaves a negative budget, nor — when ``tt`` (the cut
-    function over ``leaves``) is given — when the budget is zero and
-    :func:`~repro.aig.simulate.realizable_by_reuse` proves that no
-    existing literal computes the cut (counted in ``fail_screened``).
-
-    ``dirty`` — when given — accumulates the nodes this commit killed
-    (drained from the graph's dirty journal), which is how the engine's
-    scheduler learns, in O(damage), which later-wave snapshots one commit
-    invalidated.
+    ``resolve()`` lazily supplies the ``(tree, inverted)`` pair.  It is
+    not invoked when the MFFC leaves a negative budget, nor — when
+    ``tt`` (the cut function over ``leaves``) is given — when the budget
+    is zero and :func:`~repro.aig.simulate.realizable_by_reuse` proves
+    that no existing literal computes the cut (counted in
+    ``fail_screened``).
     """
     t0 = time.perf_counter()
     mffc = mffc_nodes(g, node, boundary=set(leaves))
@@ -395,8 +349,6 @@ def commit_tree(
         g.replace(node, new_lit)
         stats.commits += 1
         stats.gain_total += before - g.n_ands
-        if dirty is not None:
-            dirty.update(g.drain_dirty().killed)
     finally:
         stats.time_commit += time.perf_counter() - t0
     return True

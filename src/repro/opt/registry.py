@@ -4,8 +4,8 @@ ABC scales to dozens of operators because commands are *registered*, not
 switch-cased; this module gives the flow layer the same shape.  Every
 command a script may name is a :class:`CommandSpec`: its canonical name,
 aliases, flag schema (``-l`` / ``-w N`` support plus the ``<cmd>z``
-zero-cost pairing), declared resource requirements (classifier, engine
-worker pool, shared resynthesis cache) and an ``execute(g, ctx, flags)``
+zero-cost pairing), declared resource requirements (classifier, shared
+resynthesis cache) and an ``execute(g, ctx, flags)``
 callable.  :class:`CommandRegistry` resolves raw command strings against
 the registered specs with **strict flag validation** — an unsupported
 flag raises :class:`repro.errors.ReproError` instead of being silently
@@ -64,11 +64,9 @@ class CommandSpec:
     ``supports_workers`` admits ``-w N``.  Resource fields are
     *declarative* so the session (and the serving layer) can provision
     without running anything: ``needs_classifier`` makes the session
-    reject the command when no classifier is attached,
-    ``needs_engine_pool`` marks commands that dispatch resynthesis to a
-    :class:`repro.engine.ResynthExecutor` (the serving layer pre-forks
-    pools for these), and ``uses_cache`` marks commands that share the
-    session's cross-pass :class:`repro.engine.ResynthCache`.
+    reject the command when no classifier is attached, and
+    ``uses_cache`` marks commands that share the session's cross-pass
+    :class:`repro.engine.ResynthCache`.
     """
 
     name: str
@@ -78,7 +76,6 @@ class CommandSpec:
     supports_levels: bool = False
     supports_workers: bool = False
     needs_classifier: bool = False
-    needs_engine_pool: bool = False
     uses_cache: bool = False
     help: str = ""
 
@@ -110,8 +107,6 @@ class ScriptNeeds:
     """Resource requirements of a whole script, from the specs alone."""
 
     classifier: bool = False
-    engine_pool: bool = False
-    max_explicit_workers: int = 0
 
 
 class CommandRegistry:
@@ -242,7 +237,7 @@ class CommandRegistry:
                 (
                     f"{spelling}:{spec.name}:{int(zero)}:"
                     f"{int(spec.supports_levels)}{int(spec.supports_workers)}"
-                    f"{int(spec.needs_classifier)}{int(spec.needs_engine_pool)}"
+                    f"{int(spec.needs_classifier)}"
                     f"{int(spec.uses_cache)};"
                 ).encode("ascii")
             )
@@ -264,11 +259,6 @@ class CommandRegistry:
             except ReproError:
                 continue
             needs.classifier |= resolved.spec.needs_classifier
-            needs.engine_pool |= resolved.spec.needs_engine_pool
-            if resolved.spec.needs_engine_pool and resolved.flags.workers:
-                needs.max_explicit_workers = max(
-                    needs.max_explicit_workers, resolved.flags.workers
-                )
         return needs
 
 
@@ -323,13 +313,11 @@ def _make_engine_refactor(elf: bool):
     def execute(g, ctx, flags):
         from ..engine import EngineParams, engine_refactor
 
-        workers, executor = ctx.engine_resources(flags, pooled=True)
         stats = engine_refactor(
             g,
             EngineParams(
                 refactor=_refactor_params(flags),
-                workers=workers,
-                executor=executor,
+                workers=ctx.engine_workers(flags),
                 resynth_cache=ctx.resynth_cache,
                 deadline=ctx.deadline,
             ),
@@ -343,18 +331,13 @@ def _make_engine_refactor(elf: bool):
 def _exec_engine_rewrite(g, ctx, flags):
     from ..engine import RewriteEngineParams, engine_rewrite
 
-    # Rewrite evaluation never dispatches to the pool; a shared executor
-    # is accepted as a *width source* only (pooled=False: the session
-    # will not materialize one for this command's sake).
-    workers, executor = ctx.engine_resources(flags, pooled=False)
     stats = engine_rewrite(
         g,
         RewriteEngineParams(
             rewrite=RewriteParams(
                 zero_cost=flags.zero_cost, preserve_levels=flags.preserve_levels
             ),
-            workers=workers,
-            executor=executor,
+            workers=ctx.engine_workers(flags),
             resynth_cache=ctx.resynth_cache,
             library=ctx.npn_library,
             deadline=ctx.deadline,
@@ -422,9 +405,8 @@ def _build_default_registry() -> CommandRegistry:
             zero_cost_pair=True,
             supports_levels=True,
             supports_workers=True,
-            needs_engine_pool=True,
             uses_cache=True,
-            help="conflict-wave parallel refactoring",
+            help="alias of rf that accepts -w (same output at every width)",
         )
     )
     registry.register(
@@ -435,9 +417,8 @@ def _build_default_registry() -> CommandRegistry:
             supports_levels=True,
             supports_workers=True,
             needs_classifier=True,
-            needs_engine_pool=True,
             uses_cache=True,
-            help="conflict-wave parallel ELF",
+            help="alias of elf that accepts -w (same output at every width)",
         )
     )
     registry.register(
@@ -448,7 +429,7 @@ def _build_default_registry() -> CommandRegistry:
             supports_levels=True,
             supports_workers=True,
             uses_cache=True,
-            help="conflict-wave parallel rewriting (never pools)",
+            help="conflict-wave parallel rewriting",
         )
     )
     return registry

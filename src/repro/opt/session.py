@@ -1,26 +1,19 @@
 """Flow sessions: explicit lifecycle for the resources a script shares.
 
-``run_flow`` used to thread ``classifier`` / ``engine_workers`` /
-``engine_executor`` / a resynthesis cache through an if/elif chain as
-ad-hoc kwargs.  :class:`OptSession` replaces that plumbing with one
-owner: a context manager that holds the per-flow resources — the
-cross-pass :class:`repro.engine.ResynthCache`, the NPN library, an
-optional classifier handle, and (when parallel commands ask for one) a
-:class:`repro.engine.ResynthExecutor` worker pool — and executes
-scripts against a declarative :class:`repro.opt.registry.CommandRegistry`.
-Resources are created **lazily on first demand** (``b; b`` allocates
-nothing) and owned resources are closed on exit; externally provided
-ones (a serving layer's shard pool, a shared classifier service client)
-are used but never closed.
+:class:`OptSession` is one owner for the per-flow resources — the
+cross-pass :class:`repro.engine.ResynthCache`, the NPN library and an
+optional classifier handle — and executes scripts against a declarative
+:class:`repro.opt.registry.CommandRegistry`.  Resources are created
+**lazily on first demand** (``b; b`` allocates nothing); externally
+provided ones (a shared classifier service client) are used but never
+closed.
 
 One session may run many scripts — and, as the serving layer does, many
 circuits concurrently: per-run state lives in a thread-private
-:class:`FlowContext`, while the shared cache/library/pool are safe to
-share because their entries are pure (exact cache hits are bit-identical
-to recomputation).  :class:`SessionStats` records what the session
-provisioned and what it had to drop — most notably shared executors
-discarded because a script pinned a conflicting ``-w`` (previously a
-silent no-trace event).
+:class:`FlowContext`, while the shared cache and library are safe to
+share because their entries are pure (cache hits are bit-identical to
+recomputation).  :class:`SessionStats` records what the session
+provisioned.
 
 ``repro.opt.run_flow`` is a thin wrapper: one throwaway session per
 call, byte-identical to the historical behavior.
@@ -28,53 +21,36 @@ call, byte-identical to the historical behavior.
 
 from __future__ import annotations
 
-import os
 import threading
-from dataclasses import dataclass
 
 from .. import obs
 from ..aig.graph import AIG
 from ..errors import DeadlineExceeded, ReproError
 from .flow import FlowReport, FlowStep
-from .refactor import RefactorParams
 from .registry import CommandFlags, CommandRegistry, ResolvedCommand, default_registry
 
 
-@dataclass
-class DroppedExecutor:
-    """One shared-executor discard (script pin vs pool width conflict)."""
-
-    command: str
-    pinned_workers: int
-    executor_workers: int
-    external: bool  # True when the dropped pool was caller-provided
-
-
 class SessionStats:
-    """What a session provisioned, reused and dropped across its runs.
+    """What a session provisioned and ran.
 
     Backed by the :mod:`repro.obs` metrics registry: each session owns a
     process-unique ``session`` label and its counters/gauges live as
     registry series (``session_runs_total``, ``session_commands_total``,
-    ``session_executors_dropped_total``, ``session_resource_created``),
-    so drop records and provisioning flags appear in Prometheus/JSONL
-    exports with no second bookkeeping path.  The historical public
-    attributes (``runs``, ``commands``, ``cache_created``, ...) remain
-    as read-through views over those series; ``dropped_executors`` keeps
-    the detailed per-drop records (the registry carries the count).
+    ``session_resource_created``), so provisioning flags appear in
+    Prometheus/JSONL exports with no second bookkeeping path.  The
+    public attributes (``runs``, ``commands``, ``cache_created``,
+    ``library_created``) are read-through views over those series.
     """
 
     def __init__(self) -> None:
         self.label = obs.next_label("session")
         labels = {"session": self.label}
         metrics = obs.metrics()
-        self.dropped_executors: list[DroppedExecutor] = []
         self._runs = metrics.counter("session_runs_total", **labels)
         self._commands = metrics.counter("session_commands_total", **labels)
-        self._drops = metrics.counter("session_executors_dropped_total", **labels)
         self._created = {
             kind: metrics.gauge("session_resource_created", resource=kind, **labels)
-            for kind in ("cache", "library", "executor")
+            for kind in ("cache", "library")
         }
 
     # -- recording (callers hold the session lock where concurrency applies)
@@ -85,14 +61,10 @@ class SessionStats:
     def record_command(self) -> None:
         self._commands.add(1)
 
-    def record_drop(self, drop: DroppedExecutor) -> None:
-        self.dropped_executors.append(drop)
-        self._drops.add(1)
-
     def mark_created(self, kind: str) -> None:
         self._created[kind].set(1)
 
-    # -- read-through views (the historical dataclass attributes) ------------
+    # -- read-through views -----------------------------------------------------
 
     @property
     def runs(self) -> int:
@@ -110,14 +82,6 @@ class SessionStats:
     def library_created(self) -> bool:
         return bool(self._created["library"].value)
 
-    @property
-    def executor_created(self) -> bool:
-        return bool(self._created["executor"].value)
-
-    @property
-    def executors_dropped(self) -> int:
-        return len(self.dropped_executors)
-
 
 class FlowContext:
     """Per-run view of a session (the ``ctx`` of ``CommandSpec.execute``).
@@ -133,7 +97,6 @@ class FlowContext:
         self.classifier = classifier
         self.deadline = deadline  # the run's latency budget (or None)
         self.command = ""  # raw spelling of the step being executed
-        self.executor_dropped = False  # set when a shared pool is discarded
         self._run_cache = None  # lazily created under per_run_cache
 
     @property
@@ -151,58 +114,12 @@ class FlowContext:
     def npn_library(self):
         return self.session.npn_library
 
-    def engine_resources(self, flags: CommandFlags, pooled: bool):
-        """Resolve ``(workers, executor)`` for one parallel command.
-
-        Precedence (unchanged from the pre-session flow layer): an
-        explicit ``-w N`` always wins — a shared executor of a different
-        width is **dropped** rather than silently overriding the pinned
-        count, and the drop is now recorded on the session stats and on
-        the step.  Without ``-w``, the session-level ``engine_workers``
-        default applies, and an attached executor's width governs as
-        usual.  ``pooled`` commands (the refactor engine family) may
-        lazily materialize the session's own pool; width-only consumers
-        (wave rewrite) never cause one to exist.
-        """
-        session = self.session
-        workers = flags.workers if flags.workers is not None else 0
-        explicit = workers > 0
-        if not explicit and session.engine_workers is not None:
-            workers = session.engine_workers
-        executor = session._external_executor
-        external = executor is not None
-        if not external:
-            # The session's own pool serves pooled commands and — like
-            # an attached external pool always did — acts as a width
-            # source for width-only consumers (wave rewrite), but only
-            # pooled unpinned steps may *materialize* it (at the
-            # session's default width).
-            executor = session._own_executor
-            if executor is None and pooled and not explicit:
-                executor = session._materialize_executor()
-        if explicit and executor is not None and executor.workers != workers:
-            self._record_drop(workers, executor.workers, external=external)
-            executor = None
-        return workers, executor
-
-    def _record_drop(self, pinned: int, pool_width: int, external: bool) -> None:
-        """Log one bypassed pool: the pin wins, but never silently.
-
-        Historically a width-mismatched shared executor was discarded
-        with no trace; now the discard lands on the session stats and on
-        the step (``FlowStep.executor_dropped``), whether the bypassed
-        pool was caller-attached (``external``) or session-owned.
-        """
-        with self.session._lock:
-            self.session.stats.record_drop(
-                DroppedExecutor(
-                    command=self.command,
-                    pinned_workers=pinned,
-                    executor_workers=pool_width,
-                    external=external,
-                )
-            )
-        self.executor_dropped = True
+    def engine_workers(self, flags: CommandFlags) -> int:
+        """Width of one engine command: an explicit ``-w N`` wins, then
+        the session's ``engine_workers`` default, then 0 (auto)."""
+        if flags.workers:
+            return flags.workers
+        return self.session.engine_workers or 0
 
 
 class OptSession:
@@ -211,25 +128,19 @@ class OptSession:
     Parameters: ``classifier`` is the default classifier handle for
     commands that declare ``needs_classifier`` (a per-``run`` override
     exists for serving).  ``engine_workers`` is the worker count applied
-    to parallel commands with no explicit ``-w``.  ``engine_executor``
-    attaches an externally owned pool (used, never closed); without one
-    the session materializes its own on first pooled command — sized by
-    ``engine_workers`` (falling back to the core count) — and closes it
-    on exit.  ``library`` pins the NPN library (default: the process-wide
-    shared instance, created lazily on first rewrite-family command).
+    to engine commands with no explicit ``-w``.  ``library`` pins the NPN
+    library (default: the process-wide shared instance, created lazily
+    on first rewrite-family command).
     ``registry`` selects the command set (default: the process registry).
 
     ``per_run_cache=True`` gives each :meth:`run` a private resynthesis
     cache instead of the session-wide one.  Steps of one script still
     share it (the ``elf; elf`` warm start), but nothing leaks between
     runs: the serving layer uses this so a served circuit's *content*
-    never depends on what the shard's other circuits seeded — the wave
-    engine's NPN layer can factor a class representative differently
-    than the concrete table would have been, so at ``workers >= 2`` a
-    cross-run shared cache would make results timing-dependent.  (Exact
-    entries — all a sequential or ``workers=1`` step ever takes — are
-    bit-identical to recomputation, so sharing is safe there; the
-    default stays session-wide.)
+    never depends on what the shard's other circuits seeded, and cache
+    memory per request stays bounded by one request.  (Entries are
+    bit-identical to recomputation, so sharing is safe too; the default
+    stays session-wide.)
 
     ``cache_entries`` bounds every resynthesis cache this session
     creates (session-wide or per-run) to an LRU of that many entries per
@@ -244,7 +155,6 @@ class OptSession:
         self,
         classifier=None,
         engine_workers: int | None = None,
-        engine_executor=None,
         library=None,
         registry: CommandRegistry | None = None,
         per_run_cache: bool = False,
@@ -256,8 +166,6 @@ class OptSession:
         self.cache_entries = cache_entries
         self.registry = registry if registry is not None else default_registry()
         self.stats = SessionStats()
-        self._external_executor = engine_executor
-        self._own_executor = None
         self._cache = None
         self._library = library
         self._lock = threading.Lock()
@@ -294,67 +202,15 @@ class OptSession:
                     self.stats.mark_created("library")
         return self._library
 
-    @property
-    def executor_is_external(self) -> bool:
-        return self._external_executor is not None
-
-    @property
-    def engine_executor(self):
-        """The worker pool this session's pooled commands would share
-        (external if attached, else the session-owned one) — ``None``
-        until a pooled command or :meth:`warm_engine` materializes it."""
-        if self._external_executor is not None:
-            return self._external_executor
-        return self._own_executor
-
-    def _materialize_executor(self, width: int | None = None):
-        """Create (or return) the session-owned pool.
-
-        Default width is ``engine_workers`` (else one per core); widths
-        of one return ``None`` — a width-1 pool would only shadow the
-        engine's bit-identical sequential delegation.
-        """
-        if width is None:
-            width = self.engine_workers
-        if width is None or width <= 0:
-            width = os.cpu_count() or 1
-        if width <= 1:
-            return None
-        if self._own_executor is None:
-            from ..engine import ResynthExecutor
-
-            with self._lock:
-                if self._own_executor is None:
-                    self._own_executor = ResynthExecutor(width, RefactorParams())
-                    self.stats.mark_created("executor")
-        return self._own_executor
-
     def warm_engine(self, width: int) -> bool:
-        """Pre-fork the session's pool at ``width``; True when one is live.
+        """Whether ``width`` selects the parallel engine (``width >= 2``).
 
-        Serving layers call this from a still-single-threaded moment:
-        forking a process pool while sibling threads run is
-        undefined-behaviour territory on POSIX, so the fork is
-        front-loaded.  With an external executor attached this is a
-        no-op (the caller owns that pool's lifecycle).  A session pool
-        that already exists at a *different* width is closed and
-        replaced at ``width`` — the whole point is that later steps find
-        a matching pool — which is another reason this belongs in a
-        single-threaded moment.
+        Serving layers and benchmarks call this before the first circuit.
+        The engine has no worker pool to start — ``pf`` / ``pelf`` run
+        the sequential sweep at every width and ``prw`` waves run
+        in-process — so nothing is allocated.
         """
-        if self._external_executor is not None:
-            return True
-        if width <= 1:
-            return False
-        with self._lock:
-            if (
-                self._own_executor is not None
-                and self._own_executor.workers != width
-            ):
-                self._own_executor.close()
-                self._own_executor = None
-        executor = self._materialize_executor(width)
-        return executor is not None and executor.warm()
+        return width >= 2
 
     # -- execution ------------------------------------------------------------
 
@@ -402,7 +258,6 @@ class OptSession:
                     resolved = self.registry.resolve(command)
                     self._check_resources(resolved, ctx)
                     ctx.command = command
-                    ctx.executor_dropped = False
                     with self._lock:
                         self.stats.record_command()
                     ands_before = g.n_ands
@@ -431,7 +286,6 @@ class OptSession:
                             level=g.max_level(),
                             detail=detail,
                             normalized=resolved.canonical,
-                            executor_dropped=ctx.executor_dropped,
                         )
                     )
             except DeadlineExceeded as error:
@@ -468,11 +322,8 @@ class OptSession:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release owned resources (idempotent); external ones are kept."""
+        """Refuse further runs (idempotent); shared resources are kept."""
         self._closed = True
-        executor, self._own_executor = self._own_executor, None
-        if executor is not None:
-            executor.close()
 
     def __enter__(self) -> "OptSession":
         return self

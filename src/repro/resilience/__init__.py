@@ -4,13 +4,14 @@ Three small modules, shared by every layer that can fail:
 
 * :mod:`repro.resilience.deadline` — :class:`Deadline` latency budgets,
   created at the serve tier and threaded down through
-  :meth:`repro.opt.OptSession.run`, the wave scheduler and the
-  resynthesis executor, so one SLA bounds the whole stack and expiry
-  surfaces as a typed :class:`repro.errors.DeadlineExceeded` carrying
-  the best consistent prefix result instead of a hang.
+  :meth:`repro.opt.OptSession.run` and the wave scheduler (and into the
+  resynthesis pool's waits), so one SLA bounds the whole stack and
+  expiry surfaces as a typed :class:`repro.errors.DeadlineExceeded`
+  carrying the best consistent prefix result instead of a hang.
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy` budgets/backoff
-  and the degradation ladder (``shm -> pickle -> sequential``), with
-  every recovery decision counted on the :mod:`repro.obs` registry.
+  for shard and pool-worker respawns, and the resynthesis pool's
+  degradation ladder (``shm -> pickle -> sequential``), with every
+  recovery decision counted on the :mod:`repro.obs` registry.
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   registry (:func:`repro.resilience.faults.fire` at named sites) that
   makes every recovery path CI-testable without flakes.

@@ -3,12 +3,11 @@
 A :class:`Deadline` is an absolute expiry instant on a monotonic clock,
 created once at the outermost layer (``serve`` builds one per circuit
 from ``ServeParams.circuit_timeout_s``) and handed *down* — session to
-wave pass to resynthesis executor — so every tier shares one budget
-instead of composing per-layer timeouts that can sum past the SLA.
-Checkpoints call :meth:`Deadline.check`, which raises
-:class:`repro.errors.DeadlineExceeded` naming the site; blocking waits
-bound themselves with :meth:`Deadline.bound` so a hung pool worker can
-never sleep past the budget.
+engine pass — so every tier shares one budget instead of composing
+per-layer timeouts that can sum past the SLA.  Checkpoints call
+:meth:`Deadline.check`, which raises :class:`repro.errors.DeadlineExceeded`
+naming the site; a blocking wait bounds itself with
+:meth:`Deadline.bound` so it can never sleep past the budget.
 
 Expiry is graceful, never a hang and never a torn result: wave commits
 are serial, so the layer that observes expiry abandons only *uncommitted*

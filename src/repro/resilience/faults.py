@@ -1,12 +1,12 @@
 """Deterministic fault injection: named sites, scripted failures, no flakes.
 
-Recovery code is only trustworthy if every path runs in CI, and worker
+Recovery code is only trustworthy if every path runs in CI, and process
 crashes cannot be provoked reliably from the outside (a SIGKILL from the
-parent races the victim's task pickup, especially on one core).  So the
-engine and serve tiers consult this registry at **named sites**, and an
-installed :class:`FaultPlan` decides — deterministically, by arrival
-count and context match — whether that arrival raises, kills a process,
-or stalls:
+parent races the victim's work pickup, especially on one core).  So the
+resynthesis pool and the serve tier consult this registry at **named
+sites**, and an installed :class:`FaultPlan` decides — deterministically,
+by arrival count and context match — whether that arrival raises, kills
+a process, or stalls:
 
 ========================  ====================================================
 site                      consulted
@@ -18,23 +18,26 @@ site                      consulted
                           (context: ``chunk``, ``pids`` of the pool)
 ``shm.create``            before allocating a wave shared-memory segment
 ``classifier.fire``       before a fused classifier round dispatches
+                          (context: ``round``)
 ``shard.circuit``         inside a serve shard process, before running one
                           circuit (context: ``pid``, ``shard``, ``circuit``)
 ========================  ====================================================
 
+:data:`SITES` is that table in code; ``make lint-faults`` fails when a
+``fire("...")`` call under ``src/repro`` names a site missing from it.
+
 Actions: ``raise`` (an :class:`InjectedFault`, a
 :class:`repro.errors.RetryableError`), ``kill`` (SIGKILL — the context's
 ``pid``, or ``pids[value]``), ``delay`` (sleep ``value`` seconds, the
-hung-worker simulation).  Triggering is exact: ``hits`` selects 1-based
+hung-process simulation).  Triggering is exact: ``hits`` selects 1-based
 arrival numbers at the site, ``match`` pins a context key (so
-``worker.chunk`` faults can target chunk 0 and *only* chunk 0, which is
-what makes killed-worker tests reproducible on any scheduler).  Arrival
-counters are per process; forked workers inherit the installed plan and
-count their own arrivals.
+``shard.circuit`` faults can target one circuit and *only* that
+circuit, which is what makes killed-shard tests reproducible on any
+scheduler).  Arrival counters are per process; forked children inherit
+the installed plan and count their own arrivals.
 
 Inactive injection is one ``None`` check per site — cheap enough to stay
-compiled in (the ``faults-idle`` row of ``BENCH_engine.json`` pins the
-overhead < 1%).  Plans install programmatically (:func:`install`,
+compiled in.  Plans install programmatically (:func:`install`,
 :func:`injected`) or from the ``REPRO_FAULTS`` environment variable,
 e.g. ``REPRO_FAULTS="worker.chunk=kill#chunk=0;shm.create=raise@1"``.
 Every triggered fault is counted: ``faults_injected_total{site,action}``.
@@ -54,6 +57,17 @@ from .. import obs
 from ..errors import ReproError, RetryableError
 
 ENV_VAR = "REPRO_FAULTS"
+
+SITES = frozenset({
+    "classifier.fire",
+    "shard.circuit",
+    # Consulted only by the unused resynthesis pool; deleted with it.
+    "worker.start",
+    "worker.chunk",
+    "chunk.result",
+    "shm.create",
+})
+"""Every site the program consults (the docstring table, in code)."""
 
 _SPEC_RE = re.compile(
     r"^(?P<site>[\w.]+)=(?P<action>raise|kill|delay)"

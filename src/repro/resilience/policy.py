@@ -3,25 +3,30 @@
 One small, dependency-free decision module so every layer recovers the
 same way.  Failures are classified by the :mod:`repro.errors` taxonomy
 (``RetryableError`` vs ``FatalError``); *how many times* and *how hard*
-to retry is a :class:`RetryPolicy`; *what to fall back to* is the
-degradation ladder::
+to retry is a :class:`RetryPolicy`.  Two supervisors consume it: the
+serving tier's shard supervisor (:mod:`repro.serve.proc`) respawns a
+dead shard within the budget, then runs the shard's unfinished circuits
+in-process; the resynthesis pool (:mod:`repro.engine.parallel`) respawns
+its workers, and *what it falls back to* is the degradation ladder::
 
     shm  ->  pickle  ->  sequential
 
 Each rung trades throughput for robustness: shared-memory wave segments
 are the fast path, pickled chunk messages survive ``/dev/shm``
 exhaustion and mapping faults, and in-process sequential execution —
-bit-identical to the pooled path by construction (PR 1) — is the floor
+bit-identical to the pooled path by construction — is the floor
 that can only fail if the computation itself is broken.
 
 Every decision is counted on the :mod:`repro.obs` registry so recovery
 is visible in any Prometheus/JSONL export:
 
-* ``engine_worker_deaths_total`` — pool workers found dead (SIGKILL/OOM);
+* ``engine_worker_deaths_total`` — pool workers or shard processes
+  found dead (SIGKILL/OOM);
 * ``engine_worker_hangs_total`` — chunks that blew their per-chunk
   deadline with the worker still alive;
-* ``engine_retries_total`` — pool respawn + re-dispatch rounds;
-* ``engine_degradations_total{to=...}`` — ladder steps taken;
+* ``engine_retries_total`` — pool or shard respawn rounds;
+* ``engine_degradations_total{to=...}`` — ladder steps taken
+  (``to="in-process"`` for a shard given up on);
 * ``serve_deadline_exceeded_total`` / ``engine_deadline_exceeded_total``
   — budgets that expired (recorded where they were observed).
 """

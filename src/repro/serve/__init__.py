@@ -1,14 +1,13 @@
 """Sharded multi-circuit serving.
 
-The engine (:mod:`repro.engine`) parallelizes one refactor pass over one
-network; this subsystem serves a whole *suite* of circuits in flight:
+The engine (:mod:`repro.engine`) runs one pass over one network; this
+subsystem serves a whole *suite* of circuits in flight:
 
 * :mod:`repro.serve.shard` — deterministic LPT partition of the suite
   across shards (:func:`assign_shards` / :class:`ShardPlan`).
 * :mod:`repro.serve.pool` — shard-shared resources: one classifier
   service per shard fusing ELF inference batches *across* circuits
-  (:class:`SharedClassifierService`, exact per-circuit semantics) and
-  one engine worker pool reused by every parallel flow step.
+  (:class:`SharedClassifierService`, exact per-circuit semantics).
 * :mod:`repro.serve.stream` — the orchestrator: :func:`serve_stream`
   yields per-circuit results in completion order instead of blocking on
   the slowest shard; :func:`serve_suite` drains it into a
@@ -34,16 +33,15 @@ Quick use::
         print(r.order, r.name, r.n_ands_before, "->", r.n_ands)
 
 At ``workers=1`` every served result is byte-identical (BENCH text) to a
-blocking ``run_flow`` on that circuit alone; see ``docs/serving.md``.
+blocking ``run_flow`` on that circuit alone (``pf`` / ``pelf`` steps at
+any width); see ``docs/serving.md``.
 """
 
 from .pool import (
     FusedClassifierClient,
     FusionStats,
     SharedClassifierService,
-    max_explicit_workers,
     needs_classifier,
-    needs_engine_pool,
     script_requirements,
 )
 from .proc import ShardHost, ShardSupervisor, serve_suite_procs
@@ -64,9 +62,7 @@ __all__ = [
     "ShardPlan",
     "ShardSupervisor",
     "assign_shards",
-    "max_explicit_workers",
     "needs_classifier",
-    "needs_engine_pool",
     "script_requirements",
     "serve_stream",
     "serve_suite",

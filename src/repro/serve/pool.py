@@ -1,7 +1,7 @@
-"""Shard-local resources: the shared classifier service and engine pool.
+"""Shard-local resources: the shared classifier service.
 
 Within one shard all circuits are served concurrently (one thread each),
-and two expensive resources are shared instead of replicated:
+and the expensive classifier is shared instead of replicated:
 
 * **Classifier service** (:class:`SharedClassifierService`) — ELF's
   classifier is cheapest when inference is batched.  Per circuit the
@@ -17,18 +17,12 @@ and two expensive resources are shared instead of replicated:
   the stacked shape) and the resulting keep masks are bitwise-identical
   in every test — fusion changes dispatch count, not decisions.
 
-* **Engine pool** — each shard runs its circuits through one
-  :class:`repro.opt.OptSession`, whose owned
-  :class:`repro.engine.ResynthExecutor` is pre-forked
-  (:meth:`~repro.opt.OptSession.warm_engine`) before circuit threads
-  start, so every circuit of the shard reuses the same worker processes
-  (and the session's NPN library).  Resynthesis caches stay per circuit
-  (``per_run_cache=True``): the wave engine's NPN cache layer is
-  content-affecting, so sharing one across concurrently served circuits
-  would make results depend on thread timing.
+Each shard runs its circuits through one :class:`repro.opt.OptSession`,
+so every circuit of the shard shares the session's NPN library;
+resynthesis caches stay per circuit (``per_run_cache=True``).
 
-The script's resource needs (classifier, engine pool, worker pins) are
-read off the command registry's declared requirements, so a command
+The script's resource needs (the classifier) are read off the command
+registry's declared requirements, so a command
 registered via :mod:`repro.opt.registry` is provisioned for without
 touching this module.
 
@@ -246,25 +240,3 @@ def script_requirements(script: str, registry=None):
 def needs_classifier(script: str, registry=None) -> bool:
     """Does any command of ``script`` consult the ELF classifier?"""
     return script_requirements(script, registry).classifier
-
-
-def needs_engine_pool(script: str, registry=None) -> bool:
-    """Does any command of ``script`` dispatch to the engine worker pool?
-
-    Registry-declared (``CommandSpec.needs_engine_pool``).  The built-in
-    set deliberately excludes ``prw``/``prwz``: the wave-rewrite engine
-    evaluates through memoized NPN-library lookups and never ships work
-    to a process pool, so rewrite-only flows serve without one.
-    """
-    return script_requirements(script, registry).engine_pool
-
-
-def max_explicit_workers(script: str, registry=None) -> int:
-    """Largest explicit ``-w N`` on any pool-using command (0 when none).
-
-    The serving layer sizes each shard's pool to cover the script's own
-    worker pins, so even a ``pf -w 4`` step under ``ServeParams(workers=1)``
-    finds a pre-forked pool instead of forking one inside a circuit
-    thread (see :meth:`repro.opt.OptSession.warm_engine`).
-    """
-    return script_requirements(script, registry).max_explicit_workers

@@ -10,8 +10,8 @@ This module moves each shard into its **own process**:
   queue, the worker process, and the ``inflight`` ledger of submitted
   but unfinished circuits — exactly what a respawn must re-run.
 * :func:`_shard_worker_main` is the child body: it builds one warm
-  :class:`repro.opt.OptSession` (per-run caches, optional pre-forked
-  engine pool) and serves circuits off its inbox until told to stop.
+  :class:`repro.opt.OptSession` (per-run caches) and serves circuits
+  off its inbox until told to stop.
   Circuits cross the boundary as BENCH text — the serving wire format —
   never as pickled AIG objects.
 * :func:`serve_suite_procs` is the orchestrator: it shards the suite
@@ -24,7 +24,7 @@ a shard process that dies — SIGKILL, OOM, a segfaulting extension —
 is detected by the supervisor (``inflight`` non-empty, process dead),
 counted (``serve_shard_deaths_total``), and respawned with **only its
 unfinished circuits** resubmitted; completed results were already
-streamed and are never recomputed.  Respawns follow the engine's
+streamed and are never recomputed.  Respawns follow a
 :class:`repro.resilience.RetryPolicy` budget; a shard that keeps dying
 degrades to in-process sequential execution in the supervisor
 (``record_degradation``), which also breaks deterministic kill loops
@@ -50,7 +50,6 @@ from ..resilience import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy, policy
 from ..resilience.faults import active as faults_active
 from ..resilience.faults import fire, install
 from ..tune import RecipeBook, TuneParams, tune
-from .pool import script_requirements
 from .shard import ShardPlan, assign_shards
 from .store import CachedResult, ResultStore
 from .stream import ServeParams, ServeReport, ServeResult
@@ -79,17 +78,12 @@ def _shard_worker_main(
     crash is exactly what the supervisor's respawn path is for.
     """
     install(fault_plan)  # forked children inherit, spawned ones would not
-    needs = script_requirements(params.flow)
     session = OptSession(
         classifier=classifier,
         engine_workers=params.workers if params.workers > 0 else None,
         per_run_cache=True,
         cache_entries=params.engine_cache_entries,
     )
-    pool_workers = params.workers if params.workers > 0 else (os.cpu_count() or 1)
-    pool_workers = max(pool_workers, needs.max_explicit_workers)
-    if needs.engine_pool and pool_workers > 1:
-        session.warm_engine(pool_workers)
     recipes = RecipeBook()
     with session:
         while True:

@@ -109,8 +109,8 @@ class OptimizeService:
     """The running service: shard processes, cache, admission, protocol.
 
     Lifecycle: :meth:`start` forks the shard processes (while the
-    process is still single-threaded — the same rule the thread path
-    follows for engine pools), then starts the drain thread and the
+    process is still single-threaded: forking while sibling threads run
+    is undefined behaviour on POSIX), then starts the drain thread and the
     unix-socket server; :meth:`serve_forever` blocks until a
     ``shutdown`` op arrives; :meth:`stop` tears everything down
     idempotently.

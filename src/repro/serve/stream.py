@@ -12,10 +12,10 @@ Two properties the tests pin down:
 
 * **Content determinism.**  Completion *order* depends on timing, but
   each circuit's *result* does not: flows run on private clones, fused
-  classification preserves per-circuit semantics exactly, and at
-  ``workers=1`` every engine command delegates to the sequential
-  operators — so a served circuit's BENCH text is byte-identical to a
-  blocking ``run_flow`` on that circuit alone.
+  classification preserves per-circuit semantics exactly, and ``pf`` /
+  ``pelf`` run the sequential operators at every width (``prw`` does at
+  ``workers=1``) — so a served circuit's BENCH text is byte-identical to
+  a blocking ``run_flow`` of the same script on that circuit alone.
 * **Isolation.**  A circuit whose flow raises reports the error in its
   result; the other circuits of the shard still complete (the failed
   circuit deregisters from the classifier barrier on the way out).
@@ -27,7 +27,6 @@ statistics and aggregate throughput.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -50,18 +49,18 @@ class ServeParams:
     """Serving-run configuration.
 
     ``flow`` is any :func:`repro.opt.flow.run_flow` script.  ``workers``
-    is applied to parallel commands without an explicit ``-w`` (and
-    sizes the per-shard engine pool); ``workers=1`` is the deterministic
-    mode whose outputs are bit-identical to sequential runs.
+    is applied to engine commands without an explicit ``-w``; at
+    ``workers=1`` every engine command is bit-identical to its
+    sequential operator (``pf`` / ``pelf`` are at any width).
     ``fuse_classifier=False`` gives every circuit a private classifier
     call (the ablation the occupancy stats are compared against).
     ``keep_graphs=False`` drops result graphs to bound memory on large
     suites (the BENCH text, enough for verification, is always kept).
 
     ``circuit_timeout_s`` is the per-circuit latency budget: a
-    :class:`repro.resilience.Deadline` threaded through the session into
-    every engine pass and pooled chunk wait, so one pathological circuit
-    (or a hung worker) cannot stall its shard.  A circuit that blows the
+    :class:`repro.resilience.Deadline` checked between flow steps and at
+    every ``prw`` wave boundary, so one pathological circuit cannot stall
+    its shard for long.  A circuit that blows the
     budget still yields a *valid* result — engine commits are serial, so
     the best committed prefix is CEC-equivalent to the input — marked
     ``deadline_exceeded`` and counted ``serve_deadline_exceeded_total``.
@@ -205,13 +204,6 @@ def serve_stream(
             plan = assign_shards(suite, params.n_shards, cost)
     needs = script_requirements(params.flow)
     fuse = classifier is not None and params.fuse_classifier and needs.classifier
-    # The shard pool must cover the script's own -w pins as well as the
-    # serve-level default, so no engine pass ever forks a pool from
-    # inside a circuit thread (scripts mixing *different* explicit -w
-    # widths still fall back to private per-pass pools; prefer one
-    # engine width per served flow).
-    pool_workers = params.workers if params.workers > 0 else (os.cpu_count() or 1)
-    pool_workers = max(pool_workers, needs.max_explicit_workers)
     results: queue.Queue[ServeResult] = queue.Queue()
     threads: list[threading.Thread] = []
     sessions: list[OptSession] = []
@@ -222,20 +214,15 @@ def serve_stream(
             if fusion_out is not None:
                 fusion_out[shard_index] = service.stats
         # One session per shard: every circuit of the shard shares its
-        # NPN library and (when the flow pools) its worker processes.
-        # Caches are per run (= per circuit): the wave engine's NPN
-        # cache layer is content-affecting, so cross-circuit sharing
-        # would make served results depend on thread timing — the
-        # content-determinism guarantee above forbids that.  The pool
-        # is forked now, while the process is still single-threaded.
+        # NPN library.  Caches are per run (= per circuit), so a served
+        # result never depends on what the shard's other circuits
+        # seeded, and cache memory stays bounded per request.
         session = OptSession(
             classifier=classifier,
             engine_workers=params.workers if params.workers > 0 else None,
             per_run_cache=True,
             cache_entries=params.engine_cache_entries,
         )
-        if needs.engine_pool and pool_workers > 1:
-            session.warm_engine(pool_workers)
         sessions.append(session)
         # Quality-budget mode: the shard shares one in-memory recipe
         # book, so a tuned circuit warm-starts from scripts its shard
@@ -280,7 +267,7 @@ def serve_stream(
     finally:
         # Join only what actually started (joining an unstarted thread
         # raises, which would mask the original error and skip closing
-        # the sessions — leaking their pre-forked worker pools).
+        # the sessions).
         for thread in started:
             thread.join()
         for session in sessions:

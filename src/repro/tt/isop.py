@@ -67,8 +67,7 @@ def clear_isop_memo() -> None:
 
 def isop_memo_hits() -> int:
     """Cumulative memo hits of this process (snapshot around a region to
-    report per-task rates — the worker pool ships the delta home on each
-    task result for the observability registry)."""
+    report its hit count)."""
     return _MEMO_HITS
 
 

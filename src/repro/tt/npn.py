@@ -107,8 +107,8 @@ def npn_canonize(tt: int) -> tuple[int, Transform]:
     come from a gather against the precomputed index matrix, both output
     phases are laid out in the scalar scan's iteration order, and the
     first minimum (``argmin``) is the canonical pick.  Bit-identical to
-    :func:`npn_canonize_scalar`, which `tests/test_kernel_parity.py`
-    pins it against.
+    the scalar loop nest over the same transforms, which
+    ``tests/test_kernel_parity.py`` keeps as its oracle.
     """
     if not 0 <= tt <= _FULL:
         raise TruthTableError("npn_canonize expects a 16-bit truth table")
@@ -125,29 +125,6 @@ def npn_canonize(tt: int) -> tuple[int, Transform]:
     perm = _ALL_PERMS[row // N_MINTERMS]
     flips = row % N_MINTERMS
     return best, invert_transform((perm, flips, bool(output_flip)))
-
-
-def npn_canonize_scalar(tt: int) -> tuple[int, Transform]:
-    """Reference scalar canonizer (kept as the parity oracle for the
-    vectorized :func:`npn_canonize`)."""
-    if not 0 <= tt <= _FULL:
-        raise TruthTableError("npn_canonize expects a 16-bit truth table")
-    best = None
-    best_transform: Transform | None = None
-    for perm in _ALL_PERMS:
-        for flips in range(N_MINTERMS):
-            index = _INDEX[(perm, flips)]
-            candidate = 0
-            for v in range(N_MINTERMS):
-                if tt >> index[v] & 1:
-                    candidate |= 1 << v
-            for output_flip in (False, True):
-                value = candidate ^ (_FULL if output_flip else 0)
-                if best is None or value < best:
-                    best = value
-                    best_transform = (perm, flips, output_flip)
-    assert best is not None and best_transform is not None
-    return best, invert_transform(best_transform)
 
 
 def npn_orbit(tt: int) -> set[int]:

@@ -19,7 +19,7 @@ The loop is a UCB-style portfolio bandit:
    budget the tuner starts *at* the fixed-flow quality and spends the
    remainder beating it.
 2. **Bandit probes.**  Arms are single registry commands and short
-   command bigrams (classifier- and pool-free, so probes are
+   command bigrams (classifier- and width-free, so probes are
    deterministic and self-contained).  Each pull probes the arm on a
    snapshot of the committed graph and scores it by **AND-reduction per
    second**, read off the probe's :class:`repro.opt.FlowReport` span
@@ -66,17 +66,17 @@ _EPS = 1e-9
 
 
 def default_arms(registry: CommandRegistry) -> tuple[str, ...]:
-    """The portfolio: classifier- and pool-free commands plus bigrams.
+    """The portfolio: classifier-free, width-free commands plus bigrams.
 
-    Commands that need a classifier, dispatch to a worker pool or take
-    ``-w`` are excluded — probe content must not depend on attached
-    resources or worker timing.  Order follows registry registration
-    order, so the arm list (and therefore every seeded search) is
-    deterministic for a given registry.
+    Commands that need a classifier or take ``-w`` are excluded — probe
+    content must not depend on attached resources or worker timing.
+    Order follows registry registration order, so the arm list (and
+    therefore every seeded search) is deterministic for a given
+    registry.
     """
     unigrams: list[str] = []
     for spec in registry.specs():
-        if spec.needs_classifier or spec.needs_engine_pool or spec.supports_workers:
+        if spec.needs_classifier or spec.supports_workers:
             continue
         unigrams.append(spec.name)
         if spec.zero_cost_pair:

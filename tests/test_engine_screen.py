@@ -1,179 +1,95 @@
-"""The wave engine's refactor screens: skip at evaluate time, re-check at commit.
+"""Exactness gate for the engine commands, at every width and entry point.
 
-``RefactorWaveOp.evaluate`` drops a survivor whose one-node MFFC fails
-the twin test or the closure sweep on the graph as it is before the
-wave's commits: it gets no cache lookup and no pool task.  ``commit``
-re-runs both tests on the graph the commit sees, and resynthesizes
-in-process when a screen no longer holds.  So every commit decision is
-the one the unscreened engine makes, and every output is the same.
+``pf`` / ``pfz`` / ``pelf`` run the sequential ``rf`` / ``rfz`` / ``elf``
+sweep at every worker count, so their outputs must be byte-identical to
+the sequential operators' at any ``-w`` — through ``OptSession.run``,
+the ``python -m repro`` CLI and the process-sharded service.  The
+circuits (``tests/conftest.py``) are arithmetic and industrial
+generators whose outputs are not constant, so a wrong commit shows in
+the digests.
 
-Names the tests patch: ``twin_screened`` / ``realizable_by_reuse`` in
-``repro.engine.operators`` are the evaluate-time screens; the same
-names in ``repro.opt.refactor`` are the commit-time ones
-(``screen_and_commit`` / ``commit_tree``).  The circuits
-(``tests/conftest.py``) are arithmetic and industrial generators whose
-outputs are not constant, so a wrong decision shows in the digests.
+The gate has teeth: the same helper must report ``prw -w 2`` (conflict
+waves, a different commit order) as different from ``rw``.
 """
 
-import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.aig.literal import make_lit
-from repro.aig.mffc import mffc_is_root_alone, mffc_nodes
-from repro.aig.simulate import cone_truth
-from repro.engine import EngineStats, ResynthCache, ResynthExecutor, run_wave_pass
-from repro.engine.operators import RefactorWaveOp
-from repro.factor.to_aig import count_tree
-from repro.opt import OptSession, RefactorParams, run_flow
+from repro.aig.io_bench import to_text
+from repro.opt import OptSession, run_flow
+from repro.serve import ServeParams, serve_suite_procs
 
-refactor_mod = importlib.import_module("repro.opt.refactor")
-operators_mod = importlib.import_module("repro.engine.operators")
-
-PARAMS = {"pf": RefactorParams(), "pf-l": RefactorParams(preserve_levels=True)}
-SCRIPTS = ("pf -w 2", "pelf -w 2", "pf -w 2 -l")
+ENGINE_PAIRS = (("pf", "rf"), ("pfz", "rfz"), ("pelf", "elf"))
 
 
-def _confirm(g, root, leaves):
-    """Full resynthesis finds no zero-cost replacement for this cut."""
-    assert mffc_nodes(g, root, boundary=set(leaves)) == [root]
-    tt = cone_truth(g, root, leaves)
-    tree, _inverted = refactor_mod._resynthesize(tt, len(leaves), RefactorParams(), None)
-    leaf_lits = [make_lit(leaf) for leaf in leaves]
-    assert count_tree(g, tree, leaf_lits, {root}, max_added=0) is None
-
-
-def _checked(op_class):
-    """``op_class`` with every commit-time rejection confirmed."""
-
-    class Checked(op_class):
-        def commit(self, g, candidate, result, stats, dirty):
-            rejected = stats.fail_screened
-            super().commit(g, candidate, result, stats, dirty)
-            if stats.fail_screened > rejected:  # a rejection leaves g as it was
-                _confirm(g, candidate.node, list(candidate.leaves))
-
-    return Checked
-
-
-class _TrustsEvaluate(RefactorWaveOp):
-    """Mutant: an evaluate-time skip is final, with no commit re-check."""
-
-    def commit(self, g, candidate, result, stats, dirty):
-        entry, _tt = result
-        if entry is not None:
-            super().commit(g, candidate, result, stats, dirty)
-            return
-        stats.nodes_visited += 1
-        stats.cuts_formed += 1
-        stats.fail_screened += 1
-
-
-CHECKED = _checked(RefactorWaveOp)
-
-
-def _run_ops(circuits, classifier=None, op_class=CHECKED):
-    """Drive the operator in-process (no pool) over every circuit and mode.
-
-    Returns ``(outputs, totals)``: per ``(circuit, mode)`` the output
-    digest, commit count and gain, and the summed engine counters.
-    """
-    outputs = {}
-    totals = EngineStats()
-    for name, g in circuits.items():
-        for mode, params in PARAMS.items():
-            for clf in [None] if classifier is None else [None, classifier]:
-                out = g.clone()
-                op = op_class(
-                    params,
-                    ResynthCache().npn_view(),
-                    ResynthExecutor(1, params),
-                    want_features=clf is not None,
-                )
-                stats = EngineStats(workers=2)
-                run_wave_pass(out, op, stats, classifier=clf)
-                assert stats.commits + stats.fails == stats.cuts_formed
-                key = (name, mode, "elf" if clf is not None else "rf")
-                outputs[key] = (out.structural_digest(), stats.commits, stats.gain_total)
-                for field in ("commits", "screened", "screen_fallbacks", "fail_screened"):
-                    setattr(totals, field, getattr(totals, field) + getattr(stats, field))
-    return outputs, totals
-
-
-def _session_digests(circuits, classifier):
+def _outcomes(circuits, script, classifier=None):
+    """Per circuit: the output's structural digest and the step commits."""
     out = {}
     with OptSession(classifier=classifier, per_run_cache=True) as session:
         for name, g in circuits.items():
-            for script in SCRIPTS:
-                result, _report = session.run(g.clone(), script)
-                out[name, script] = result.structural_digest()
+            result, report = session.run(g.clone(), script)
+            commits = [step.detail.commits for step in report.steps]
+            out[name] = (result.structural_digest(), commits)
     return out
 
 
-def _no_screens(monkeypatch):
-    for module in (refactor_mod, operators_mod):
-        monkeypatch.setattr(module, "twin_screened", lambda *args: False)
-        monkeypatch.setattr(module, "realizable_by_reuse", lambda *args: True)
+def _mismatches(circuits, script, reference, classifier=None):
+    """Circuits on which ``script`` and ``reference`` end differently."""
+    got = _outcomes(circuits, script, classifier)
+    want = _outcomes(circuits, reference, classifier)
+    return sorted(name for name in circuits if got[name] != want[name])
 
 
-def _eager_evaluate_screen(monkeypatch):
-    """Skip every one-node-MFFC survivor at evaluate time, rightly or not."""
-    monkeypatch.setattr(
-        operators_mod,
-        "twin_screened",
-        lambda g, root, leaves, twins: mffc_is_root_alone(g, root, leaves),
-    )
-    monkeypatch.setattr(operators_mod, "realizable_by_reuse", lambda *args: False)
-
-
-def test_outputs_identical_without_the_screen(
-    screen_circuits, screen_classifier, monkeypatch
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("engine, sequential", ENGINE_PAIRS)
+def test_engine_command_equals_sequential_operator(
+    screen_circuits, screen_classifier, engine, sequential, workers
 ):
-    screened, totals = _run_ops(screen_circuits, screen_classifier)
-    sessions = _session_digests(screen_circuits, screen_classifier)
-    assert totals.screened > 0 and totals.commits > 0
-    _no_screens(monkeypatch)
-    unscreened, plain = _run_ops(screen_circuits, screen_classifier)
-    assert plain.screened == plain.fail_screened == 0
-    assert unscreened == screened
-    assert _session_digests(screen_circuits, screen_classifier) == sessions
+    classifier = screen_classifier if engine == "pelf" else None
+    script = f"{engine} -w {workers}"
+    assert _mismatches(screen_circuits, script, sequential, classifier) == []
 
 
-def test_every_commit_time_rejection_is_confirmed(screen_circuits):
-    """``CHECKED`` confirms each rejection by full resynthesis."""
-    _outputs, totals = _run_ops(screen_circuits)
-    assert totals.fail_screened > 0
+def test_the_gate_reports_wave_rewriting_as_different(screen_circuits):
+    """``prw -w 2`` commits in conflict-wave order, so it must not pass."""
+    assert _mismatches(screen_circuits, "prw -w 2", "rw")
 
 
-def test_fallback_when_commit_does_not_screen(screen_circuits, monkeypatch):
-    """Screen at evaluate, not at commit: every skipped survivor that
-    reaches the gain check is resynthesized at commit, and decided there."""
-    reference, _totals = _run_ops(screen_circuits)
-    monkeypatch.setattr(refactor_mod, "twin_screened", lambda *args: False)
-    monkeypatch.setattr(refactor_mod, "realizable_by_reuse", lambda *args: True)
-    outputs, totals = _run_ops(screen_circuits, op_class=RefactorWaveOp)
-    assert outputs == reference
-    assert totals.screen_fallbacks > 0 and totals.fail_screened == 0
+def test_cli_pf_equals_rf(screen_circuits, tmp_path):
+    inp = tmp_path / "in.bench"
+    inp.write_text(to_text(screen_circuits["hyp"]), encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    outputs = {}
+    for script in ("pf -w 2", "rf"):
+        out = tmp_path / f"{script.split()[0]}.bench"
+        subprocess.run(
+            [sys.executable, "-m", "repro", script, str(inp), "-o", str(out), "-q"],
+            check=True,
+            env=env,
+        )
+        outputs[script] = out.read_text(encoding="utf-8")
+    assert outputs["pf -w 2"] == outputs["rf"]
+    assert outputs["rf"] != inp.read_text(encoding="utf-8")  # rf did commit
 
 
-def test_commit_recheck_repairs_a_wrong_evaluate_skip(screen_circuits, monkeypatch):
-    reference, _totals = _run_ops(screen_circuits)
-    _eager_evaluate_screen(monkeypatch)
-    outputs, totals = _run_ops(screen_circuits)
-    assert outputs == reference
-    assert totals.screen_fallbacks > 0
-
-
-def test_trusting_the_evaluate_skip_is_caught(screen_circuits, monkeypatch):
-    """Without the commit re-check the wrong skips stand: outputs change,
-    and the confirmation of commit-time rejections fails."""
-    reference, _totals = _run_ops(screen_circuits)
-    _eager_evaluate_screen(monkeypatch)
-    outputs, _totals = _run_ops(screen_circuits, op_class=_TrustsEvaluate)
-    assert outputs != reference
-    with pytest.raises(AssertionError):
-        _run_ops(screen_circuits, op_class=_checked(_TrustsEvaluate))
+def test_served_pf_equals_blocking_rf(screen_circuits):
+    suite = {name: screen_circuits[name] for name in ("div", "sqrt", "ind1")}
+    report = serve_suite_procs(suite, ServeParams(flow="pf -w 2", n_shards=2, workers=2))
+    assert sorted(r.name for r in report.results) == sorted(suite)
+    for result in report.results:
+        g = suite[result.name].clone()
+        g.name = result.name  # the service names each circuit by its key
+        blocking, _ = run_flow(g, "rf")
+        assert result.ok and result.bench_text == to_text(blocking), result.name
 
 
 def test_skips_reach_the_pass_span_and_the_registry(screen_circuits):
@@ -192,12 +108,12 @@ def test_skips_reach_the_pass_span_and_the_registry(screen_circuits):
         registry = obs.metrics()
         for operator, detail in stats.items():
             assert detail.screened > 0
-            for field in ("screened", "bounded", "screen_fallbacks"):
-                assert spans[operator][field] == getattr(detail, field)
+            for field in ("screened", "bounded"):
+                assert spans[operator].get(field, 0) == getattr(detail, field)
             screened = registry.value("engine_screened_total", operator=operator)
             assert screened == detail.screened + detail.bounded
-            fallbacks = registry.value("engine_screen_fallbacks_total", operator=operator)
-            assert fallbacks == detail.screen_fallbacks
+        # pf reports the sequential screens' rejections.
+        assert stats["refactor"].screened == stats["refactor"].fail_screened
         assert stats["rewrite"].bounded > 0
     finally:
         obs.configure(enabled=False)

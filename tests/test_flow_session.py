@@ -2,9 +2,9 @@
 
 Covers the API-redesign guarantees: captured-reference byte-identity of
 ``run_flow`` across the session rewrite, strict flag validation, script
-parsing edge cases, lazy resource creation, shared-executor drop
-recording, custom-command registration without touching ``opt/flow.py``,
-and the ``python -m repro`` CLI.
+parsing edge cases, lazy resource creation, custom-command
+registration without touching ``opt/flow.py``, and the
+``python -m repro`` CLI.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ import pytest
 
 from repro.aig.io_bench import read, to_text
 from repro.elf import collect_dataset, train_leave_one_out
-from repro.engine import ResynthExecutor
 from repro.errors import ReproError
 from repro.ml import TrainConfig
 from repro.opt import (
@@ -26,13 +25,12 @@ from repro.opt import (
     CommandSpec,
     OptSession,
     RESYN2,
-    RefactorParams,
     balance,
     canonical_command,
     default_registry,
     run_flow,
 )
-from repro.serve import max_explicit_workers, needs_classifier, needs_engine_pool
+from repro.serve import needs_classifier
 
 from .util import random_aig
 
@@ -167,7 +165,6 @@ class TestLazyResources:
             assert not session.cache_materialized
             assert not session.stats.cache_created
             assert not session.stats.library_created
-            assert not session.stats.executor_created
 
     def test_refactor_demands_cache_rewrite_demands_library(self):
         g = random_aig(6, 60, 3, seed=5)
@@ -190,68 +187,18 @@ class TestLazyResources:
             assert session.resynth_cache is cache
             assert cache.hits_exact > warm
 
+    def test_warm_engine_allocates_nothing(self):
+        with OptSession() as session:
+            assert session.warm_engine(2) and session.warm_engine(4)
+            assert not session.warm_engine(1)  # width 1: sequential mode
+            assert not session.cache_materialized
+            assert not session.stats.library_created
+
     def test_closed_session_refuses_runs(self):
         session = OptSession()
         session.close()
         with pytest.raises(ReproError, match="closed"):
             session.run(random_aig(4, 10, 2, seed=0), "b")
-
-
-class TestDroppedExecutorRecording:
-    def test_width_mismatch_drop_is_recorded(self):
-        g = random_aig(7, 150, 4, seed=6)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            with OptSession(engine_executor=executor) as session:
-                _, report = session.run(g.clone(), "pf -w 1; b")
-                # The pin still wins (bit-identical sequential mode) ...
-                assert report.steps[0].detail.workers == 1
-                assert report.steps[0].detail.delegated
-                # ... but the discard is no longer silent.
-                assert report.steps[0].executor_dropped
-                assert not report.steps[1].executor_dropped
-                assert session.stats.executors_dropped == 1
-                drop = session.stats.dropped_executors[0]
-                assert drop.command == "pf -w 1"
-                assert drop.pinned_workers == 1
-                assert drop.executor_workers == 2
-                assert drop.external
-
-    def test_matching_width_is_not_a_drop(self):
-        g = random_aig(7, 150, 4, seed=6)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            with OptSession(engine_executor=executor) as session:
-                _, report = session.run(g.clone(), "pf -w 2")
-                assert report.steps[0].detail.workers == 2
-                assert not report.steps[0].executor_dropped
-                assert session.stats.executors_dropped == 0
-
-    def test_session_owned_pool_drop_recorded(self):
-        # The serving scenario: a shard pool warmed wider than a script
-        # pin must leave a trace too (external=False marks it owned).
-        g = random_aig(7, 150, 4, seed=6)
-        with OptSession() as session:
-            assert session.warm_engine(2)
-            _, report = session.run(g.clone(), "pf -w 1")
-            assert report.steps[0].detail.delegated
-            assert report.steps[0].executor_dropped
-            drop = session.stats.dropped_executors[0]
-            assert (drop.pinned_workers, drop.executor_workers) == (1, 2)
-            assert not drop.external
-
-    def test_warm_engine_replaces_mismatched_width(self):
-        with OptSession() as session:
-            assert session.warm_engine(2)
-            assert session.engine_executor.workers == 2
-            assert session.warm_engine(3)  # re-warm at a new width
-            assert session.engine_executor.workers == 3
-            assert not session.warm_engine(1)  # width 1: sequential mode
-
-    def test_external_executor_not_closed_by_session(self):
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            with OptSession(engine_executor=executor) as session:
-                session.run(random_aig(6, 60, 3, seed=7), "pf -w 2")
-            # session closed; the external pool must still work
-            assert executor.run([(0b1000, 2)])
 
 
 class TestCustomCommandRegistration:
@@ -314,13 +261,10 @@ class TestCustomCommandRegistration:
                 name="xelf",
                 execute=lambda g, ctx, flags: (g, None),
                 needs_classifier=True,
-                needs_engine_pool=True,
                 supports_workers=True,
             )
         )
-        assert needs_classifier("b; xelf", registry=registry)
-        assert needs_engine_pool("xelf -w 3", registry=registry)
-        assert max_explicit_workers("xelf -w 3", registry=registry) == 3
+        assert needs_classifier("b; xelf -w 3", registry=registry)
         assert not needs_classifier("b; xelf")  # default registry untouched
 
     def test_classifier_requirement_enforced_declaratively(self):
@@ -422,17 +366,6 @@ class TestSessionServing:
             session.run(g.clone(), "rf; rfz")
             warm, _ = session.run(g.clone(), "rf; rfz")
         assert to_text(warm) == to_text(out1)
-
-    def test_own_pool_width_sizes_prw(self):
-        # A warmed session pool acts as a width source for prw, exactly
-        # like an attached external executor always did (rewrite never
-        # dispatches to it).
-        g = random_aig(7, 150, 4, seed=15)
-        with OptSession() as session:
-            assert session.warm_engine(2)
-            _, report = session.run(g.clone(), "prw")
-            assert report.steps[0].detail.workers == 2
-            assert not report.steps[0].detail.delegated
 
     def test_compress2_known_script(self):
         g = random_aig(7, 150, 4, seed=12)

@@ -1,20 +1,20 @@
-"""Randomized parity battery: every vectorized kernel vs its scalar oracle.
+"""Randomized parity battery: every optimized kernel vs its plain oracle.
 
-PR 7 rewrote the truth-table hot loops (ISOP core, NPN canonizer,
-cofactor sweeps, ``expand_tt``, the batched cone-truth kernel) and added
-the packed word-array representation the shared-memory wave transport
-ships.  Each rewrite claims bit-identity with the straightforward
-formulation it replaced; this module pins every claim against an
-embedded or retained scalar reference over hundreds of random tables and
-cut shapes, plus the degenerate corners (constants, single-leaf cuts,
-duplicate leaves) where index arithmetic likes to go wrong.
+The truth-table hot loops (ISOP core, NPN canonizer, cofactor sweeps,
+``expand_tt``, the batched cone-truth kernel) and the packed word-array
+representation the resynthesis pool's shared-memory transport ships
+each claim bit-identity with the straightforward formulation they
+replaced; this module pins every claim
+against an embedded or retained scalar reference over hundreds of random
+tables and cut shapes, plus the degenerate corners (constants,
+single-leaf cuts, duplicate leaves) where index arithmetic likes to go
+wrong.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.aig import AIG, cone_truth, full_mask, var_mask
@@ -26,7 +26,14 @@ from repro.tt import isop, isop_exact, npn_canonize, sop_tt
 from repro.factor import factoring
 from repro.factor.factoring import clear_factor_memo, factor, verify_factoring
 from repro.tt.isop import clear_isop_memo
-from repro.tt.npn import _FULL, apply_transform, npn_canonize_scalar
+from repro.tt.npn import (
+    _ALL_PERMS,
+    _FULL,
+    _INDEX,
+    N_MINTERMS,
+    apply_transform,
+    invert_transform,
+)
 from repro.tt.truth import (
     bits_to_tt,
     cofactor0,
@@ -155,6 +162,26 @@ class TestFactorMemo:
 # ----------------------------------------------------------------------
 
 
+def _npn_canonize_reference(tt: int):
+    """The scalar canonizer the vectorized one replaced: the first strict
+    minimum over (perm, input flips, output flip) in loop-nest order."""
+    best = None
+    best_transform = None
+    for perm in _ALL_PERMS:
+        for flips in range(N_MINTERMS):
+            index = _INDEX[(perm, flips)]
+            candidate = 0
+            for v in range(N_MINTERMS):
+                if tt >> index[v] & 1:
+                    candidate |= 1 << v
+            for output_flip in (False, True):
+                value = candidate ^ (_FULL if output_flip else 0)
+                if best is None or value < best:
+                    best = value
+                    best_transform = (perm, flips, output_flip)
+    return best, invert_transform(best_transform)
+
+
 class TestNpnParity:
     def test_random_tables_pick_identical_transforms(self):
         rng = random.Random(74)
@@ -162,7 +189,7 @@ class TestNpnParity:
         tables += [rng.getrandbits(16) for _ in range(400)]
         for tt in tables:
             canonical, transform = npn_canonize(tt)
-            ref_canonical, ref_transform = npn_canonize_scalar(tt)
+            ref_canonical, ref_transform = _npn_canonize_reference(tt)
             assert canonical == ref_canonical
             # Not just the same class: the same representative transform
             # (the rewrite cache keys instantiation off it).
@@ -250,7 +277,7 @@ class TestExpandParity:
 
 
 # ----------------------------------------------------------------------
-# Batched cone truths: packed gather program vs scalar loop vs cone_truth
+# Batched cone truths: shared-rank loop vs per-cone cone_truth
 # ----------------------------------------------------------------------
 
 
@@ -271,8 +298,7 @@ class TestBatchConeParity:
             cones = _graph_cones(g)
             assert len(cones) > 15
             expected = [cone_truth(g, root, list(leaves)) for root, leaves, _ in cones]
-            assert batch_cone_truths(g, cones, packed=False) == expected
-            assert batch_cone_truths(g, cones, packed=True) == expected
+            assert batch_cone_truths(g, cones) == expected
 
     def test_degenerate_cones(self):
         g = AIG("deg")
@@ -292,16 +318,14 @@ class TestBatchConeParity:
             (node, (0, a >> 1, b >> 1), frozenset({node})),
         ]
         expected = [cone_truth(g, root, list(leaves)) for root, leaves, _ in cones]
-        for packed in (False, True):
-            assert batch_cone_truths(g, cones, packed=packed) == expected
+        assert batch_cone_truths(g, cones) == expected
 
     def test_uncovered_cone_raises_on_both_routes(self):
         g = random_aig(6, 40, 2, seed=5)
         node = next(iter(g.and_ids()))
         bad = [(node, (node + 1000,), frozenset({node}))]
-        for packed in (False, True):
-            with pytest.raises(TruthTableError):
-                batch_cone_truths(g, bad, packed=packed)
+        with pytest.raises(TruthTableError):
+            batch_cone_truths(g, bad)
 
 
 # ----------------------------------------------------------------------

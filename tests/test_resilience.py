@@ -5,19 +5,23 @@ deterministically through the fault-injection registry
 (:mod:`repro.resilience.faults`) — no real flakiness is required to test
 flakiness handling.  The invariants pinned throughout:
 
-* recovery is **transparent**: results are bit-identical to a clean run
-  on every path (retry, transport degradation, sequential floor);
+* recovery is **transparent**: the resynthesis pool's results are
+  bit-identical to a clean run on every path (retry, transport
+  degradation, sequential floor);
 * recovery is **clean**: zero ``/dev/shm`` segments survive any failure;
 * recovery is **counted**: the obs registry carries exact death / retry /
   degradation / deadline counters, asserted to the integer.
 
-The container runs on one core, so pooled tests monkeypatch
-``cpu_count`` (the ``two_cores`` fixture) exactly like the engine tests.
+Pooled tests monkeypatch ``cpu_count`` (the ``two_cores`` fixture) so
+the pool runs on single-core hosts too.  Shard-process death and
+respawn are covered in ``tests/test_serve_service.py``.
 """
 
-import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,16 +29,10 @@ import pytest
 import repro.engine.parallel as parallel
 from repro import obs
 from repro.circuits.random_aig import layered_random_aig
-from repro.engine import EngineParams, engine_refactor
+from repro.engine import EngineParams, RewriteEngineParams, engine_refactor, engine_rewrite
 from repro.engine.pack import PackedTasks, WaveSegment, leaked_segments, unlink_by_name
 from repro.engine.parallel import ResynthExecutor, resynthesize_batch
-from repro.errors import (
-    DeadlineExceeded,
-    FatalError,
-    ReproError,
-    RetryableError,
-    WorkerCrashError,
-)
+from repro.errors import DeadlineExceeded, FatalError, ReproError, RetryableError
 from repro.opt.refactor import RefactorParams
 from repro.opt.session import OptSession
 from repro.resilience import (
@@ -96,7 +94,6 @@ class TestErrorTaxonomy:
     def test_hierarchy(self):
         assert issubclass(RetryableError, ReproError)
         assert issubclass(FatalError, ReproError)
-        assert issubclass(WorkerCrashError, RetryableError)
         assert issubclass(InjectedFault, RetryableError)
         assert not issubclass(FatalError, RetryableError)
 
@@ -144,7 +141,7 @@ class TestDeadline:
 
 
 # --------------------------------------------------------------------------
-# Retry policy + degradation ladder
+# Retry policy
 # --------------------------------------------------------------------------
 
 
@@ -177,15 +174,15 @@ class TestRetryPolicy:
 
 class TestFaultSpecs:
     def test_parse_full_grammar(self):
-        spec = FaultSpec.parse("worker.chunk=delay(0.25)@2,4#chunk=7")
-        assert spec.site == "worker.chunk"
+        spec = FaultSpec.parse("shard.circuit=delay(0.25)@2,4#circuit=7")
+        assert spec.site == "shard.circuit"
         assert spec.action == "delay"
         assert spec.value == pytest.approx(0.25)
         assert spec.hits == frozenset({2, 4})
-        assert spec.match == ("chunk", "7")
+        assert spec.match == ("circuit", "7")
 
     def test_parse_minimal(self):
-        spec = FaultSpec.parse("shm.create=raise")
+        spec = FaultSpec.parse("classifier.fire=raise")
         assert spec.hits == frozenset()
         assert spec.match is None
 
@@ -244,8 +241,51 @@ class TestFaultSpecs:
             plan.fire("s")
 
 
+class TestFaultSiteLint:
+    """``make lint-faults`` rejects a fired site missing from ``SITES``."""
+
+    REPO = Path(__file__).resolve().parents[1]
+
+    def _lint(self):
+        import importlib.util
+
+        path = self.REPO / "tools" / "lint_faults.py"
+        spec = importlib.util.spec_from_file_location("lint_faults", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_registry_matches_the_runtime_sites(self):
+        lint = self._lint()
+        assert lint.registered_sites(self.REPO / lint.FAULTS_MODULE) == faults.SITES
+
+    def test_unregistered_site_fails(self, tmp_path):
+        lint = self._lint()
+        (tmp_path / "mod.py").write_text(
+            "from repro.resilience.faults import fire, fire as fault_fire\n"
+            "def f():\n"
+            "    fire('shard.circuit', pid=1)\n"
+            "    fire('worker.respawn', chunk=0)\n"
+            "    fault_fire('worker.chunk', chunk=0)\n"
+            "    fault_fire('shm.resize', nbytes=8)\n",
+            encoding="utf-8",
+        )
+        failures = lint.check_tree(tmp_path, faults.SITES)
+        assert len(failures) == 2
+        assert "'worker.respawn'" in failures[0] and "mod.py:4" in failures[0]
+        assert "'shm.resize'" in failures[1] and "mod.py:6" in failures[1]
+
+    def test_repo_tree_is_clean(self):
+        proc = subprocess.run(
+            [sys.executable, str(self.REPO / "tools" / "lint_faults.py")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 # --------------------------------------------------------------------------
-# Worker-death recovery (the tentpole), driven through injection
+# Resynthesis-pool worker-death recovery, driven through injection
 # --------------------------------------------------------------------------
 
 
@@ -381,58 +421,6 @@ class TestWorkerDeathRecovery:
         assert not unlink_by_name("psm_no_such_segment_xyz")
 
 
-class TestEngineWideRecovery:
-    """Worker death mid-wave, through the full engine pass."""
-
-    def test_mid_wave_kill_is_transparent(self, two_cores):
-        g = layered_random_aig(12, 700, seed=7)
-        from repro.aig.io_bench import to_text
-
-        clean = g.clone()
-        with ResynthExecutor(2, RefactorParams(), chunk_timeout_s=5.0) as executor:
-            engine_refactor(clean, EngineParams(executor=executor))
-
-        before = leaked_segments()
-        faulted = g.clone()
-        # Lose one chunk result in the parent mid-pass: the engine's
-        # executor retries it; the pass output must not change.
-        with faults.injected("chunk.result=raise@1"):
-            with ResynthExecutor(
-                2, RefactorParams(), chunk_timeout_s=5.0
-            ) as executor:
-                engine_refactor(faulted, EngineParams(executor=executor))
-        assert to_text(faulted) == to_text(clean)
-        assert equivalent(g, faulted)
-        assert obs.metrics().value("engine_retries_total") == 1
-        assert leaked_segments() == before
-
-    def test_mid_wave_sigkill_is_transparent(self, two_cores):
-        """SIGKILL a pool worker mid-wave; the pass result is unchanged."""
-        g = layered_random_aig(12, 700, seed=7)
-        from repro.aig.io_bench import to_text
-
-        clean = g.clone()
-        with ResynthExecutor(2, RefactorParams(), chunk_timeout_s=5.0) as executor:
-            engine_refactor(clean, EngineParams(executor=executor))
-
-        before = leaked_segments()
-        faulted = g.clone()
-        with faults.injected("worker.chunk=kill@1#chunk=0"):
-            with ResynthExecutor(
-                2,
-                RefactorParams(),
-                chunk_timeout_s=1.0,
-                retry_policy=RetryPolicy(max_retries=2, backoff_s=0.01),
-            ) as executor:
-                engine_refactor(faulted, EngineParams(executor=executor))
-        assert to_text(faulted) == to_text(clean)
-        assert equivalent(g, faulted)
-        reg = obs.metrics()
-        assert reg.value("engine_worker_deaths_total") >= 1
-        assert reg.value("engine_retries_total") >= 1
-        assert leaked_segments() == before
-
-
 # --------------------------------------------------------------------------
 # Deadlines through the stack
 # --------------------------------------------------------------------------
@@ -455,14 +443,15 @@ class TestDeadlinePropagation:
         # The partial is a valid network, CEC-clean against the input.
         assert equivalent(g, error.partial)
 
-    def test_engine_wave_deadline_mid_pass(self, two_cores):
-        g = layered_random_aig(12, 700, seed=7)
+    def test_engine_wave_deadline_mid_pass(self, screen_circuits):
+        g = screen_circuits["div"]
         out = g.clone()
-        # Generous fake budget: survives session/prep reads, expires
+        # Generous fake budget: survives the first waves, expires
         # across the wave loop's checks.
-        deadline = Deadline(60.0, clock=FakeClock())
-        with pytest.raises(DeadlineExceeded):
-            engine_refactor(out, EngineParams(workers=2, deadline=deadline))
+        deadline = Deadline(6.0, clock=FakeClock())
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            engine_rewrite(out, RewriteEngineParams(workers=2, deadline=deadline))
+        assert excinfo.value.site == "engine.wave"
         # Commits are serial: whatever prefix landed is consistent.
         assert equivalent(g, out)
         assert obs.metrics().value("engine_deadline_exceeded_total") == 1
@@ -582,26 +571,3 @@ class TestClassifierRoundFailure:
         assert (
             obs.metrics().value("serve_classifier_round_failures_total") == 1
         )
-
-
-# --------------------------------------------------------------------------
-# Fused serving still completes under engine faults (isolation)
-# --------------------------------------------------------------------------
-
-
-class TestServeUnderFaults:
-    def test_pool_fallback_does_not_fail_serving(self, two_cores):
-        """Serving degrades to in-process execution when no pool forks."""
-        suite = {
-            "a": layered_random_aig(10, 150, seed=1),
-            "b": layered_random_aig(10, 150, seed=2),
-        }
-        clean = serve_suite(suite, ServeParams(flow="rf", n_shards=1, workers=1))
-        with faults.injected("worker.start=raise"):
-            faulted = serve_suite(
-                suite, ServeParams(flow="pf", n_shards=1, workers=2)
-            )
-        assert faulted.ok
-        for result in faulted.results:
-            assert equivalent(suite[result.name], result.graph)
-        assert clean.ok

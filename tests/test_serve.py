@@ -7,18 +7,15 @@ import pytest
 
 from repro.aig.io_bench import to_text
 from repro.elf import ElfClassifier
-from repro.engine import EngineParams, ResynthExecutor, engine_refactor
 from repro.errors import ReproError
 from repro.harness import serve_throughput
 from repro.ml import MLP
-from repro.opt import RefactorParams, run_flow
+from repro.opt import run_flow
 from repro.serve import (
     ServeParams,
     SharedClassifierService,
     assign_shards,
-    max_explicit_workers,
     needs_classifier,
-    needs_engine_pool,
     serve_stream,
     serve_suite,
 )
@@ -159,11 +156,7 @@ class TestFusedClassification:
         assert needs_classifier("b; elf; b")
         assert needs_classifier("pelfz -w 2")
         assert not needs_classifier("b; rw; rf")
-        assert needs_engine_pool("pf; b")
-        assert not needs_engine_pool("b; elf")
-        assert max_explicit_workers("b; pf -w 4; pelf -w 2") == 4
-        assert max_explicit_workers("pf; pelf") == 0
-        assert max_explicit_workers("b; rw") == 0
+        assert not needs_classifier("pf -w 4; prw -w 2")
 
 
 class TestServeStream:
@@ -285,41 +278,16 @@ class TestFlowServerHooks:
         _, report = run_flow(g.clone(), "pf -w 2", engine_workers=1)
         assert report.steps[0].detail.workers == 2
 
-    def test_explicit_w_beats_shared_executor(self):
-        # "pf -w 1" must stay the bit-identical sequential mode even when
-        # the server provisioned a wider shared pool.
-        g = random_aig(7, 150, 4, seed=6)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            _, report = run_flow(g.clone(), "pf -w 1", engine_executor=executor)
-            assert report.steps[0].detail.workers == 1
-            assert report.steps[0].detail.delegated
-            # matching widths keep the shared pool
-            _, report = run_flow(g.clone(), "pf -w 2", engine_executor=executor)
-            assert report.steps[0].detail.workers == 2
-
     def test_serve_sizes_pool_for_script_pins(self):
-        # A script-level "-w 2" under ServeParams(workers=1) must still be
-        # served (pool pre-forked by the server, not inside a thread).
+        # A script-level "-w 2" under ServeParams(workers=1) is served,
+        # byte-identical to a blocking rf (pf runs rf at every width).
         suite = small_suite(2)
         report = serve_suite(suite, ServeParams(flow="pf -w 2", n_shards=2, workers=1))
         assert report.ok
         for name, g in suite.items():
             assert equivalent(g, report.result_of(name).graph), name
-
-    def test_external_executor_reused_not_closed(self):
-        g = random_aig(7, 200, 4, seed=5)
-        with ResynthExecutor(2, RefactorParams()) as executor:
-            first = g.clone()
-            engine_refactor(first, EngineParams(executor=executor))
-            second = g.clone()
-            stats = engine_refactor(second, EngineParams(executor=executor))
-            assert stats.workers == 2
-            # the executor must survive both passes for further use
-            assert executor.run([(0b1000, 2)])
-        own = g.clone()
-        engine_refactor(own, EngineParams(workers=2))
-        assert to_text(own) == to_text(first) == to_text(second)
-        assert equivalent(g, first)
+            blocking, _ = run_flow(g.clone(), "rf")
+            assert report.result_of(name).bench_text == to_text(blocking), name
 
 
 class TestServeThroughputHarness:

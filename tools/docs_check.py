@@ -6,9 +6,7 @@ Two checks, both cheap enough to run inside the default test target:
    ``src/repro/serve``, ``src/repro/obs`` and ``src/repro/resilience``
    — plus the individually listed hot-path and API-surface modules
    (simulation kernels; the rewrite, refactor and ELF operators, whose
-   docstrings carry their exactness arguments, as does the engine's
-   ``operators.py``, covered by the ``src/repro/engine`` tree; and the
-   flow layer:
+   docstrings carry their exactness arguments; and the flow layer:
    ``opt/flow.py``, ``opt/registry.py``, ``opt/session.py``, the
    ``python -m repro`` entry point) — must carry a non-trivial module
    docstring, so ``pydoc repro.engine`` /
@@ -34,6 +32,10 @@ Two checks, both cheap enough to run inside the default test target:
    knob and recipe persistence; ``docs/serving.md`` and
    ``docs/flows.md`` must link to it, and ``docs/observability.md``
    must cover the ``tune_*`` counter family.
+6. **Engine coverage.**  ``docs/engine.md`` must explain why the
+   refactor family has no worker pool, ``docs/flows.md`` must list
+   ``pf`` as an alias of ``rf``, and ``docs/robustness.md`` must list
+   the registered fault sites.
 
 Exit status 0 on success; prints every failure before exiting non-zero.
 """
@@ -145,9 +147,10 @@ SERVING_COVERAGE = (
 )
 
 
-def check_serving_docs() -> list[str]:
+def check_coverage(table) -> list[str]:
+    """Every ``(file, needle, meaning)`` row: ``needle`` is in ``file``."""
     failures: list[str] = []
-    for name, needle, meaning in SERVING_COVERAGE:
+    for name, needle, meaning in table:
         path = REPO / name
         if not path.is_file():
             failures.append(f"{name}: missing")
@@ -168,16 +171,12 @@ TUNING_COVERAGE = (
 )
 
 
-def check_tuning_docs() -> list[str]:
-    failures: list[str] = []
-    for name, needle, meaning in TUNING_COVERAGE:
-        path = REPO / name
-        if not path.is_file():
-            failures.append(f"{name}: missing")
-            continue
-        if needle not in path.read_text(encoding="utf-8"):
-            failures.append(f"{name}: {meaning} (expected {needle!r})")
-    return failures
+ENGINE_COVERAGE = (
+    # (file, required substring, what its absence means)
+    ("docs/engine.md", "no worker pool", "the pooled refactor path's removal is unexplained"),
+    ("docs/flows.md", "Alias of `rf`", "pf is not documented as an rf alias"),
+    ("docs/robustness.md", "`shard.circuit`", "fault-site table is missing"),
+)
 
 
 def main() -> int:
@@ -185,8 +184,9 @@ def main() -> int:
         check_module_docstrings()
         + check_readme_examples()
         + check_doc_crosslinks()
-        + check_serving_docs()
-        + check_tuning_docs()
+        + check_coverage(SERVING_COVERAGE)
+        + check_coverage(TUNING_COVERAGE)
+        + check_coverage(ENGINE_COVERAGE)
     )
     for failure in failures:
         print(f"docs-check: {failure}", file=sys.stderr)

@@ -15,13 +15,18 @@ serving stack — store, shard processes, the asyncio service) and
   ``repro.resilience.policy.record_*`` accounting call;
 * carry an explicit ``# lint-faults: <justification>`` comment inside
   the handler, for the rare case where swallowing is the contract
-  (e.g. a pool worker that *returns* the formatted error for the
-  parent to count and recompute).
+  (e.g. a child process that *returns* the formatted error for the
+  parent to count).
 
 Narrow handlers (``except ValueError``, ``except (OSError, KeyError)``)
 are out of scope: they express a decision about a specific failure, not
-a dragnet.  Exit status 0 when clean; prints every offending
-``file:line`` before exiting non-zero.
+a dragnet.
+
+It also fails on a fault-injection call — ``fire("<site>", ...)`` or its
+``fault_fire`` import alias, with a literal site name — whose site is missing from
+``repro.resilience.faults.SITES``, so the documented site table cannot
+drift from the sites the code consults.  Exit status 0 when clean;
+prints every offending ``file:line`` before exiting non-zero.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ LINTED_TREES = (
     "src/repro/resilience",
     "src/repro/tune",
 )
+FAULTS_MODULE = "src/repro/resilience/faults.py"
 PRAGMA = "# lint-faults:"
 BROAD_NAMES = {"Exception", "BaseException"}
 METRIC_METHODS = {"add", "observe", "inc", "set"}
@@ -95,10 +101,35 @@ def _has_pragma(handler: ast.ExceptHandler, lines: list[str]) -> bool:
     return any(PRAGMA in line for line in lines[handler.lineno - 1 : end])
 
 
-def check_tree(root: Path) -> list[str]:
+def registered_sites(path: Path) -> frozenset[str]:
+    """The ``SITES`` literal of the faults module, read by AST."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "SITES" for t in node.targets)
+            and isinstance(node.value, ast.Call)
+            and node.value.args
+        ):
+            return frozenset(ast.literal_eval(node.value.args[0]))
+    raise SystemExit(f"lint-faults: no SITES literal in {path}")
+
+
+def _fired_site(node: ast.Call) -> str | None:
+    """The literal site of a ``fire("<site>", ...)`` call, else None."""
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name not in ("fire", "fault_fire") or not node.args:
+        return None
+    first = node.args[0]
+    if isinstance(first, ast.Constant) and isinstance(first.value, str):
+        return first.value
+    return None
+
+
+def check_tree(root: Path, sites: frozenset[str]) -> list[str]:
     failures: list[str] = []
     for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(REPO)
+        rel = path.relative_to(REPO) if path.is_relative_to(REPO) else path
         source = path.read_text(encoding="utf-8")
         try:
             module = ast.parse(source)
@@ -107,6 +138,14 @@ def check_tree(root: Path) -> list[str]:
             continue
         lines = source.splitlines()
         for node in ast.walk(module):
+            if isinstance(node, ast.Call):
+                site = _fired_site(node)
+                if site is not None and site not in sites:
+                    failures.append(
+                        f"{rel}:{node.lineno}: fault site {site!r} is not in "
+                        f"{FAULTS_MODULE}::SITES"
+                    )
+                continue
             if not isinstance(node, ast.ExceptHandler) or not _is_broad(node):
                 continue
             if _handler_accounts(node) or _has_pragma(node, lines):
@@ -120,18 +159,22 @@ def check_tree(root: Path) -> list[str]:
 
 
 def main() -> int:
+    sites = registered_sites(REPO / FAULTS_MODULE)
     failures: list[str] = []
     for tree in LINTED_TREES:
         root = REPO / tree
         if not root.is_dir():
             failures.append(f"{tree}: directory missing")
             continue
-        failures.extend(check_tree(root))
+        failures.extend(check_tree(root, sites))
     for failure in failures:
         print(f"lint-faults: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print(f"lint-faults: no silent broad excepts under {', '.join(LINTED_TREES)}")
+    print(
+        f"lint-faults: no silent broad excepts or unregistered fault sites "
+        f"under {', '.join(LINTED_TREES)}"
+    )
     return 0
 
 

@@ -1,6 +1,6 @@
 """Observability demo (``make trace-demo``).
 
-Runs a parallel-refactor flow on a synthetic circuit with
+Runs a wave-rewrite flow on a synthetic circuit with
 :mod:`repro.obs` tracing on, then writes and summarizes every export
 format the subsystem ships:
 
@@ -30,7 +30,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro import obs, run_flow  # noqa: E402
 from repro.circuits import layered_random_aig  # noqa: E402
 
-FLOW = "b; pf -w 2; b; prw"
+FLOW = "b; prw -w 2; b; pf"
 
 
 def main() -> int:
@@ -64,7 +64,7 @@ def main() -> int:
     for metric in (
         "engine_waves_total",
         "engine_commits_total",
-        "engine_worker_tasks_total",
+        "engine_tasks_total",
         "flow_commands_total",
     ):
         print(f"  {metric:<28} {registry.total(metric):.0f}")
