@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-all profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-all profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -77,6 +77,12 @@ bench-serve:
 # cpu_count stamped, every tuned result CEC-verified).
 bench-tune:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_tune.py
+
+# Leave-one-out training cost on the elfbench arith/industrial suites:
+# median seconds, optimizer steps, ms/step and a digest of every trained
+# classifier; merges the `train` rows into BENCH_engine.json.
+bench-train:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_train.py
 
 # Full paper benchmark suite (trains/caches classifiers on first run).
 bench-all:

@@ -8,6 +8,7 @@ from .pipeline import (
     compare,
     evaluate_classifier,
     train_leave_one_out,
+    train_pooled,
 )
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "elf_refactor",
     "evaluate_classifier",
     "train_leave_one_out",
+    "train_pooled",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from ..cuts.features import N_FEATURES
 from ..errors import TrainingError
 from ..ml.metrics import threshold_for_recall
-from ..ml.mlp import MLP
+from ..ml.mlp import MLP, sigmoid
 from ..ml.train import TrainResult
 
 MIN_BATCH_FOR_MVN = 16
@@ -121,7 +121,7 @@ class ElfClassifier:
         features = np.asarray(features, dtype=np.float64)
         if features.shape[0] == 0:
             return np.zeros(0)
-        return _sigmoid(self.model.forward_logits(self._normalize(features)))
+        return sigmoid(self.model.forward_logits(self._normalize(features)))
 
     def keep_mask(self, features: np.ndarray) -> np.ndarray:
         """Boolean mask: True = attempt resynthesis, False = prune."""
@@ -152,7 +152,7 @@ class ElfClassifier:
             z_blocks.append(self._normalize(features))
         if not z_blocks:
             return [np.zeros(0) for _ in lengths]
-        fused = _sigmoid(self.model.forward_logits(np.concatenate(z_blocks)))
+        fused = sigmoid(self.model.forward_logits(np.concatenate(z_blocks)))
         out: list[np.ndarray] = []
         offset = 0
         for n in lengths:
@@ -184,8 +184,9 @@ class ElfClassifier:
         data = np.load(path, allow_pickle=False)
         layer_sizes = tuple(int(s) for s in data["layer_sizes"])
         model = MLP(layer_sizes)
-        model.weights = [data[f"w{i}"] for i in range(len(layer_sizes) - 1)]
-        model.biases = [data[f"b{i}"] for i in range(len(layer_sizes) - 1)]
+        model.set_parameters(
+            [data[f"{kind}{i}"] for i in range(len(layer_sizes) - 1) for kind in "wb"]
+        )
         return ElfClassifier(
             model,
             float(data["threshold"]),
@@ -193,12 +194,3 @@ class ElfClassifier:
             fallback_std=data["fallback_std"],
             batch_normalize=bool(int(data["batch_normalize"])),
         )
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    ez = np.exp(z[~positive])
-    out[~positive] = ez / (1.0 + ez)
-    return out

@@ -49,17 +49,30 @@ def train_leave_one_out(
     training = [d for name, d in datasets.items() if name != test_name]
     if not training:
         raise TrainingError("leave-one-out needs at least two datasets")
-    # The paper standardizes each dataset *individually* before training
-    # (its deployed MVN node normalizes per batch = per circuit); mirror
-    # that here so the network always sees per-circuit z-scores.
-    standardized = [d.standardized()[0] for d in training if len(d) > 0]
-    merged = CutDataset.concatenate(standardized, name=f"all-but-{test_name}")
+    return train_pooled(training, config, target_recall)
+
+
+def train_pooled(
+    training: list[CutDataset],
+    config: TrainConfig | None = None,
+    target_recall: float = 0.95,
+) -> ElfClassifier:
+    """Train one classifier on the union of ``training`` and calibrate
+    its threshold on the same circuits' raw features.
+
+    The paper standardizes each dataset *individually* before training
+    (its deployed MVN node normalizes per batch = per circuit); mirror
+    that here so the network always sees per-circuit z-scores.
+    """
+    nonempty = [d for d in training if len(d) > 0]
+    standardized = [d.standardized()[0] for d in nonempty]
+    merged = CutDataset.concatenate(standardized, name="pooled")
     result = train_classifier(merged, config)
     return ElfClassifier.from_training(
         result,
         target_recall,
-        calibration=[d.x for d in training if len(d) > 0],
-        calibration_labels=[d.y for d in training if len(d) > 0],
+        calibration=[d.x for d in nonempty],
+        calibration_labels=[d.y for d in nonempty],
     )
 
 

@@ -28,7 +28,7 @@ the engine commands:
   worker pool; no command uses it, and it is slated for deletion.
 """
 
-from .cache import ResynthCache, remap_tree
+from .cache import ResynthCache
 from .conflict import Candidate, CandidateIndex, build_conflict_graph, color_waves
 from .operators import RewriteWaveOp, WaveOperator
 from .parallel import ResynthExecutor, resynthesize_batch
@@ -55,7 +55,6 @@ __all__ = [
     "color_waves",
     "engine_refactor",
     "engine_rewrite",
-    "remap_tree",
     "resynthesize_batch",
     "run_wave_pass",
 ]

@@ -138,7 +138,7 @@ class RewriteWaveOp(WaveOperator):
             self.required = RequiredLevels(g)
         self._all_cuts = enumerate_cuts(g, self.params.k, self.params.max_cuts)
         self._twins = TwinScreen(g)
-        self._hits_library0 = self.cache._owner().hits_library
+        self._hits_library0 = self.cache.hits_library
 
     def _build_candidate(
         self, node: int, cuts: list[tuple[tuple[int, ...], frozenset]], mffc: frozenset
@@ -210,8 +210,7 @@ class RewriteWaveOp(WaveOperator):
         tts = batch_cone_truths(g, cones)
         stats.time_truth += time.perf_counter() - t0
 
-        owner = self.cache._owner()
-        misses0 = owner.misses_library
+        misses0 = self.cache.misses_library
         t0 = time.perf_counter()
         results = []
         pos = 0
@@ -229,7 +228,7 @@ class RewriteWaveOp(WaveOperator):
             results.append(scored)
         stats.time_resynth += time.perf_counter() - t0
         stats.n_tasks += len(cones)
-        stats.n_unique_tasks += owner.misses_library - misses0
+        stats.n_unique_tasks += self.cache.misses_library - misses0
         return results
 
     def commit(self, g: AIG, candidate: Candidate, result, stats, dirty: set) -> None:
@@ -257,7 +256,7 @@ class RewriteWaveOp(WaveOperator):
         stats.gain_total += gain
 
     def finish(self, stats) -> None:
-        stats.n_library_hits = self.cache._owner().hits_library - self._hits_library0
+        stats.n_library_hits = self.cache.hits_library - self._hits_library0
 
 
 def _cut_interior(g: AIG, root: int, cut: set[int]) -> frozenset | None:

@@ -33,9 +33,6 @@ bit-identical to the sequential operator because workers run the same
   logged once, so a sandbox stops looking like a 1-worker perf
   regression.
 
-A :class:`repro.resilience.Deadline` passed to :meth:`ResynthExecutor.run`
-bounds every chunk wait and the sequential floor; expiry raises
-:class:`repro.errors.DeadlineExceeded` instead of blocking past budget.
 Named fault-injection sites (``worker.start``, ``worker.chunk``,
 ``chunk.result``, ``shm.create`` — see :mod:`repro.resilience.faults`)
 make each recovery path deterministically testable in CI.
@@ -50,7 +47,7 @@ shared memory whenever the platform forks and the payload is worth a
 segment, and falls back to pickle otherwise — or on any segment-creation
 error, counted by ``engine_shm_fallbacks_total``.  Segment lifecycle is
 one dispatch: created, mapped by workers, unlinked in a ``finally`` on
-**every** path, crash and deadline paths included (the
+**every** path, crash paths included (the
 ``engine_shm_segments_created/unlinked_total`` counters must match after
 every pass); any name that somehow survives — e.g. an unlink that itself
 raised — is swept at :meth:`ResynthExecutor.close`
@@ -73,9 +70,9 @@ import pickle
 import time
 
 from .. import obs
-from ..errors import DeadlineExceeded, ReproError
+from ..errors import ReproError
 from ..opt.refactor import RefactorParams, _resynthesize
-from ..resilience import Deadline, RetryPolicy, policy
+from ..resilience import RetryPolicy, policy
 from ..resilience.faults import InjectedFault, fire as fault_fire
 from ..tt.isop import isop_memo_hits
 from .pack import PackedTasks, WaveSegment, share_resource_tracker, unlink_by_name
@@ -239,27 +236,17 @@ class ResynthExecutor:
         """
         return self._ensure_pool() is not None
 
-    def run(
-        self,
-        tasks: list[tuple[int, int]],
-        deadline: Deadline | None = None,
-    ) -> list[tuple]:
+    def run(self, tasks: list[tuple[int, int]]) -> list[tuple]:
         """Resynthesize every task; results align with the input order.
 
         Bit-identical on every path — pooled, retried, transport-degraded
         or sequential — because all of them run the same worker body.
-        ``deadline`` bounds each chunk wait and the sequential floor;
-        expiry raises :class:`repro.errors.DeadlineExceeded` (the caller
-        abandons only uncommitted work, so the pass result stays a
-        consistent prefix).
         """
         if not tasks:
             return []
-        if deadline is not None:
-            deadline.check("executor.run")
         pool = self._ensure_pool() if self.will_pool(len(tasks)) else None
         if pool is None:
-            return self._run_sequential(tasks, deadline)
+            return resynthesize_batch(tasks, self.params)
         # ~4 chunks per worker amortizes dispatch while keeping the pool
         # load-balanced when task costs are skewed.
         chunks = _chunked(tasks, self.workers * 4)
@@ -267,7 +254,7 @@ class ResynthExecutor:
         pending = list(range(len(chunks)))
         attempt = 0
         while pending and pool is not None:
-            failed = self._dispatch(pool, chunks, pending, results, deadline)
+            failed = self._dispatch(pool, chunks, pending, results)
             if not failed:
                 pending = []
                 break
@@ -290,10 +277,10 @@ class ResynthExecutor:
                 break
             policy.record_retry()
             attempt += 1
-            pool = self._respawn(attempt, deadline)
+            pool = self._respawn(attempt)
             pending = failed
         for i in pending:
-            results[i] = self._run_sequential(chunks[i], deadline)
+            results[i] = resynthesize_batch(chunks[i], self.params)
         out: list[tuple] = []
         for entries in results:
             out.extend(entries)
@@ -307,9 +294,8 @@ class ResynthExecutor:
         chunks: list[list[tuple[int, int]]],
         pending: list[int],
         results: list,
-        deadline: Deadline | None,
     ) -> list[int]:
-        """Ship the pending chunks; collect with per-chunk deadlines.
+        """Ship the pending chunks; collect with per-chunk timeouts.
 
         Fills ``results`` in place for every chunk that lands (including
         the contained-error recompute path) and returns the indices
@@ -330,24 +316,14 @@ class ResynthExecutor:
             for i, handle in zip(pending, handles):
                 try:
                     fault_fire("chunk.result", chunk=i, pids=pids)
-                    timeout = self.chunk_timeout_s
-                    if deadline is not None:
-                        timeout = deadline.bound(timeout)
-                    raw = handle.get(timeout=timeout)
+                    raw = handle.get(timeout=self.chunk_timeout_s)
                 except mp.TimeoutError:
-                    if deadline is not None and deadline.expired:
-                        raise DeadlineExceeded(
-                            "resynthesis chunk wait exceeded the deadline",
-                            site="executor.chunk",
-                        )
                     obs.counter(
                         "engine_chunk_failures_total", reason="timeout"
                     ).add(1)
                     failed.append(i)
                     hung += 1
                     continue
-                except DeadlineExceeded:
-                    raise
                 except Exception as error:
                     # Pool-level breakage (or an injected lost chunk):
                     # the chunk is retried, the cause is counted.
@@ -388,7 +364,7 @@ class ResynthExecutor:
 
     _last_round_shm = False  # whether the most recent failed round rode shm
 
-    def _respawn(self, attempt: int, deadline: Deadline | None):
+    def _respawn(self, attempt: int):
         """Tear down and re-fork the pool for retry round ``attempt``.
 
         A failed round that used the shared-memory transport first steps
@@ -406,23 +382,9 @@ class ResynthExecutor:
                 "engine transport degraded shm -> pickle after a failed round",
             )
         delay = self.retry_policy.backoff(attempt - 1)
-        if deadline is not None:
-            delay = deadline.bound(delay)
         if delay > 0:
             time.sleep(delay)
         return self._ensure_pool()
-
-    def _run_sequential(
-        self, tasks: list[tuple[int, int]], deadline: Deadline | None
-    ) -> list[tuple]:
-        """The in-process floor; deadline-checked per task."""
-        if deadline is None:
-            return resynthesize_batch(tasks, self.params)
-        out: list[tuple] = []
-        for tt, n_leaves in tasks:
-            deadline.check("executor.sequential")
-            out.append(_resynthesize(tt, n_leaves, self.params, None))
-        return out
 
     def _build_payloads(
         self,

@@ -20,6 +20,7 @@ from ..elf.pipeline import (
     compare,
     evaluate_classifier,
     train_leave_one_out,
+    train_pooled,
 )
 from ..elf.operator import ElfParams
 from ..ml.dataset import CutDataset
@@ -98,22 +99,10 @@ def global_classifier(
     """Classifier trained on *all* given datasets (used for Table VI,
     where the test circuits contribute no training data at all)."""
     config = config or DEFAULT_TRAIN_CONFIG
-    from ..elf.classifier import ElfClassifier as _Elf
-    from ..ml.train import train_classifier
-
-    def build():
-        nonempty = [d for d in datasets.values() if len(d) > 0]
-        standardized = [d.standardized()[0] for d in nonempty]
-        merged = CutDataset.concatenate(standardized, "all")
-        result = train_classifier(merged, config)
-        return _Elf.from_training(
-            result,
-            target_recall,
-            calibration=[d.x for d in nonempty],
-            calibration_labels=[d.y for d in nonempty],
-        )
-
-    return cached_classifier(f"{tag}_global", build)
+    return cached_classifier(
+        f"{tag}_global",
+        lambda: train_pooled(list(datasets.values()), config, target_recall),
+    )
 
 
 def comparison_rows(

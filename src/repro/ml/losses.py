@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
+from .mlp import sigmoid
 
 
 def bce_with_logits(
@@ -31,7 +32,7 @@ def bce_with_logits(
     # log(1 + exp(z)) computed stably.
     softplus = np.logaddexp(0.0, logits)
     per_sample = softplus - targets * logits
-    probs = _sigmoid(logits)
+    probs = sigmoid(logits)
     grad = probs - targets
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
@@ -49,7 +50,7 @@ def focal_loss_with_logits(
     """Focal loss (Lin et al.) with its gradient — hard-example weighting."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    p = _sigmoid(logits)
+    p = sigmoid(logits)
     eps = 1e-12
     pt = targets * p + (1 - targets) * (1 - p)
     at = targets * alpha + (1 - targets) * (1 - alpha)
@@ -74,12 +75,3 @@ def class_balanced_weights(labels: np.ndarray, beta: float = 0.999) -> np.ndarra
     w_pos, w_neg = 1.0 / eff_pos, 1.0 / eff_neg
     scale = 2.0 / (w_pos + w_neg)
     return np.where(labels > 0.5, w_pos * scale, w_neg * scale)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    ez = np.exp(z[~positive])
-    out[~positive] = ez / (1.0 + ez)
-    return out

@@ -6,6 +6,14 @@ sigmoid output, Xavier-initialized weights with zero biases.  Training
 (backprop) and the deployment trick — folding the mean-variance
 normalization into the first layer so batched inference is a handful of
 matmuls — both live here.
+
+All weights and biases are views into one contiguous float64 buffer,
+``MLP.flat``, laid out ``w0, b0, w1, b1, ...`` (the order of
+:meth:`MLP.get_parameters`).  The trainer steps Adam once over that
+buffer instead of once per array, and :meth:`MLP.backprop_into` writes
+the gradients into the same views of a second buffer.  Every update is
+elementwise, so the per-element arithmetic — and every trained bit — is
+the same as stepping each array on its own.
 """
 
 from __future__ import annotations
@@ -30,18 +38,38 @@ class MLP:
         if layer_sizes[-1] != 1:
             raise TrainingError("the ELF classifier has a single output unit")
         self.layer_sizes = tuple(layer_sizes)
+        size = sum((n_in + 1) * n_out for n_in, n_out in self._shapes())
+        self.flat = np.zeros(size)
+        self.weights, self.biases = self.parameter_views(self.flat)
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        for w in self.weights:
             # Xavier/Glorot uniform, biases zero (paper SS IV-A).
+            n_in, n_out = w.shape
             bound = float(np.sqrt(6.0 / (n_in + n_out)))
-            self.weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+            w[...] = rng.uniform(-bound, bound, size=(n_in, n_out))
+
+    def _shapes(self) -> list[tuple[int, int]]:
+        return list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+
+    def parameter_views(
+        self, buffer: np.ndarray
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a flat buffer shaped like
+        :attr:`flat` (layout ``w0, b0, w1, b1, ...``)."""
+        if buffer.shape != self.flat.shape:
+            raise TrainingError("parameter buffer shape mismatch")
+        weights, biases = [], []
+        offset = 0
+        for n_in, n_out in self._shapes():
+            weights.append(buffer[offset : offset + n_in * n_out].reshape(n_in, n_out))
+            offset += n_in * n_out
+            biases.append(buffer[offset : offset + n_out])
+            offset += n_out
+        return weights, biases
 
     @property
     def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     # -- inference ---------------------------------------------------------
 
@@ -54,14 +82,15 @@ class MLP:
             )
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
         return h[:, 0]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Sigmoid probabilities for a batch."""
-        return _sigmoid(self.forward_logits(x))
+        return sigmoid(self.forward_logits(x))
 
     # -- training support ----------------------------------------------------
 
@@ -76,9 +105,10 @@ class MLP:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         return inputs, h[:, 0]
 
     def backprop(
@@ -87,19 +117,29 @@ class MLP:
         dlogits: np.ndarray,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Gradients of all weights/biases given dLoss/dLogits."""
-        grad_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grad_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
+        grad_w, grad_b = self.parameter_views(np.empty_like(self.flat))
+        self.backprop_into(layer_inputs, dlogits, grad_w, grad_b)
+        return grad_w, grad_b
+
+    def backprop_into(
+        self,
+        layer_inputs: list[np.ndarray],
+        dlogits: np.ndarray,
+        grad_w: list[np.ndarray],
+        grad_b: list[np.ndarray],
+    ) -> None:
+        """:meth:`backprop` writing into preallocated gradient arrays
+        (views of one flat buffer, from :meth:`parameter_views`)."""
         delta = dlogits[:, None]  # (n, 1)
         for i in range(len(self.weights) - 1, -1, -1):
             x_in = layer_inputs[i]
-            grad_w[i] = x_in.T @ delta
-            grad_b[i] = delta.sum(axis=0)
+            np.matmul(x_in.T, delta, out=grad_w[i])
+            np.add.reduce(delta, axis=0, out=grad_b[i])
             if i > 0:
                 delta = delta @ self.weights[i].T
                 # ReLU derivative: the layer-(i) input is the ReLU output
                 # of layer i-1, so its positive entries mark active units.
-                delta = delta * (x_in > 0.0)
-        return grad_w, grad_b
+                delta *= x_in > 0.0
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -107,17 +147,28 @@ class MLP:
         return [a for pair in zip(self.weights, self.biases) for a in pair]
 
     def set_parameters(self, params: list[np.ndarray]) -> None:
+        """Copy ``params`` (in :meth:`get_parameters` order) into place."""
         if len(params) != 2 * len(self.weights):
             raise TrainingError("parameter list length mismatch")
-        for i in range(len(self.weights)):
-            self.weights[i] = params[2 * i]
-            self.biases[i] = params[2 * i + 1]
+        for dst, src in zip(self.get_parameters(), params):
+            if np.shape(src) != dst.shape:
+                raise TrainingError("parameter shape mismatch")
+            dst[...] = src
 
     def copy(self) -> "MLP":
         dup = MLP(self.layer_sizes)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup.set_parameters(self.get_parameters())
         return dup
+
+    # Pickle the buffer alone: pickling the views would store copies, and
+    # the unpickled weights would no longer alias ``flat``.
+    def __getstate__(self) -> dict:
+        return {"layer_sizes": self.layer_sizes, "flat": self.flat}
+
+    def __setstate__(self, state: dict) -> None:
+        self.layer_sizes = state["layer_sizes"]
+        self.flat = state["flat"]
+        self.weights, self.biases = self.parameter_views(self.flat)
 
     # -- deployment ---------------------------------------------------------
 
@@ -135,15 +186,19 @@ class MLP:
         if np.any(std <= 0):
             raise TrainingError("std must be strictly positive")
         fused = self.copy()
-        fused.weights[0] = self.weights[0] / std[:, None]
-        fused.biases[0] = self.biases[0] - (mean / std) @ self.weights[0]
+        fused.weights[0][...] = self.weights[0] / std[:, None]
+        fused.biases[0][...] = self.biases[0] - (mean / std) @ self.weights[0]
         return fused
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    ez = np.exp(z[~positive])
-    out[~positive] = ez / (1.0 + ez)
-    return out
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, without boolean masks.
+
+    ``e = exp(-|z|)`` never overflows; ``1 / (1 + e)`` serves ``z >= 0``
+    and ``e / (1 + e)`` the rest.  Per element this is the same
+    arithmetic as the masked two-branch form, so the results are bitwise
+    equal to it.  ``minimum(z, -z)`` rather than ``-abs(z)`` keeps a
+    NaN's sign bit, which the masked form passes through unchanged.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -5,11 +5,15 @@ Tables I/II); the paper found a weighted random sampler beat SMOTE and
 one-sided selection.  Each sample is drawn with probability inversely
 proportional to its class frequency, so batches are roughly class
 balanced in expectation.
+
+With replacement, an epoch is one ``rng.random((k, batch))`` draw mapped
+through the normalized CDF with ``searchsorted(side="right")``.  That is
+the body of ``Generator.choice(n, batch, p=probs)``, minus the
+validation and cumulative sum it repeats on every call, so the batches
+are exactly the ones ``k`` consecutive ``choice`` calls would return.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -42,14 +46,26 @@ class WeightedRandomSampler:
         weights[positives] = 1.0 / max(1, n_pos)
         weights[~positives] = 1.0 / max(1, n_neg)
         self._probs = weights / weights.sum()
+        self._cdf = self._probs.cumsum()
+        self._cdf /= self._cdf[-1]
 
-    def epoch(self) -> Iterator[np.ndarray]:
-        """One epoch's worth of batches (n // batch_size batches)."""
-        n_batches = max(1, self.n // self.batch_size)
-        for _ in range(n_batches):
-            yield self._rng.choice(
-                self.n,
-                size=min(self.batch_size, self.n),
-                replace=self.replacement,
-                p=self._probs,
-            )
+    def epoch(self, max_batches: int | None = None) -> np.ndarray:
+        """One epoch's batches as a ``(k, size)`` index array.
+
+        ``k`` is ``n // batch_size`` (at least 1), or ``max_batches`` if
+        that is smaller; the sampler's stream advances by exactly ``k``
+        batches.
+        """
+        k = max(1, self.n // self.batch_size)
+        if max_batches is not None:
+            k = min(k, max_batches)
+        size = min(self.batch_size, self.n)
+        if not self.replacement:
+            return np.array(
+                [
+                    self._rng.choice(self.n, size=size, replace=False, p=self._probs)
+                    for _ in range(k)
+                ],
+                dtype=np.int64,
+            ).reshape(k, size)
+        return self._cdf.searchsorted(self._rng.random((k, size)), side="right")

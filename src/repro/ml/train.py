@@ -4,6 +4,21 @@ Batch size 64, up to 30 epochs with early stopping (patience 10), Adam at
 lr 0.1 under cosine annealing with warm restarts, BCE loss, MixUp
 augmentation, and a weighted random sampler against the ~1%-positive
 class imbalance.
+
+The step costs a few dozen NumPy calls, and the classifier it trains is
+bit-for-bit the one a per-array loop trains:
+
+* the MLP's parameters are views into one flat buffer (``MLP.flat``);
+  backprop writes into matching views of one gradient buffer, Adam
+  steps once over the pair, and the best-epoch snapshot is one copy.
+  Adam's update is elementwise, so per element it is the same arithmetic
+  whatever arrays the elements sit in;
+* the sampler draws an epoch's uniforms in one call and maps them
+  through a CDF it normalized once — the body of ``Generator.choice``,
+  so the batches are the same (see :mod:`repro.ml.sampler`);
+* the forward pass adds biases and applies ReLU in place, and the
+  sigmoid is mask-free; both give the same bits as their allocating,
+  masked forms.
 """
 
 from __future__ import annotations
@@ -71,25 +86,33 @@ def train_classifier(dataset: CutDataset, config: TrainConfig | None = None) -> 
     x_val, y_val = x_all[val_idx], y_all[val_idx]
 
     model = MLP(config.layer_sizes, seed=config.seed)
-    params = model.get_parameters()
-    optimizer = Adam(params, lr=config.lr)
+    grad = np.empty_like(model.flat)
+    grad_w, grad_b = model.parameter_views(grad)
+    optimizer = Adam([model.flat], lr=config.lr)
     schedule = CosineAnnealingWarmRestarts(config.lr, t0=config.restart_period)
     sampler = WeightedRandomSampler(y_train, config.batch_size, seed=config.seed)
     cb_weights = (
         class_balanced_weights(y_train) if config.loss == "class_balanced" else None
     )
+    # Validation uses balanced BCE so the 99%-negative majority cannot
+    # mask the recall-critical positive loss.
+    val_weights = _balanced_weights(y_val)
+    cap = config.max_batches_per_epoch
 
     best_val = float("inf")
-    best_params = [p.copy() for p in params]
+    best_flat = model.flat.copy()
     best_epoch = -1
     bad_epochs = 0
     history: list[dict] = []
     for epoch in range(config.epochs):
         optimizer.lr = schedule.lr_at(epoch)
-        epoch_loss, n_batches = 0.0, 0
-        for batch_idx in sampler.epoch():
-            if n_batches >= config.max_batches_per_epoch:
-                break
+        epoch_loss = 0.0
+        # A binding cap draws one batch past it that is never trained
+        # on.  The extra draw is part of the pinned sampler stream:
+        # dropping it changes every later batch and so every trained bit
+        # (tests/test_ml_train_parity.py).
+        batches = sampler.epoch(cap + 1)[:cap]
+        for batch_idx in batches:
             xb, yb = x_train[batch_idx], y_train[batch_idx]
             xb, yb = mixup_batch(xb, yb, config.mixup_alpha, rng)
             inputs, logits = model.forward_cached(xb)
@@ -99,34 +122,29 @@ def train_classifier(dataset: CutDataset, config: TrainConfig | None = None) -> 
                 loss, dlogits = bce_with_logits(logits, yb, cb_weights[batch_idx])
             else:
                 loss, dlogits = bce_with_logits(logits, yb)
-            grad_w, grad_b = model.backprop(inputs, dlogits)
-            grads = [a for pair in zip(grad_w, grad_b) for a in pair]
-            optimizer.step(grads)
+            model.backprop_into(inputs, dlogits, grad_w, grad_b)
+            optimizer.step([grad])
             epoch_loss += loss
-            n_batches += 1
         val_logits = model.forward_logits(x_val)
-        # Validation uses balanced BCE so the 99%-negative majority cannot
-        # mask the recall-critical positive loss.
-        pos_weight = _balanced_weights(y_val)
-        val_loss, _ = bce_with_logits(val_logits, y_val, pos_weight)
+        val_loss, _ = bce_with_logits(val_logits, y_val, val_weights)
         history.append(
             {
                 "epoch": epoch,
                 "lr": optimizer.lr,
-                "train_loss": epoch_loss / max(1, n_batches),
+                "train_loss": epoch_loss / max(1, len(batches)),
                 "val_loss": val_loss,
             }
         )
         if val_loss < best_val - 1e-6:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best_flat = model.flat.copy()
             best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 break
-    model.set_parameters(best_params)
+    model.flat[...] = best_flat
     return TrainResult(model=model, mean=mean, std=std, history=history, best_epoch=best_epoch)
 
 

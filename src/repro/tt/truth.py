@@ -14,10 +14,8 @@ Two representations coexist:
 * **Packed**: a batch of tables as a ``(n_tables, n_words)`` uint64
   array, bit ``i`` of table ``t`` at ``words[t, i >> 6] >> (i & 63)``.
   This is the wire format of the engine's shared-memory wave transport
-  (:mod:`repro.engine.pack`) and the form the ``*_many`` kernels sweep —
-  one numpy pass over the whole batch instead of per-table Python loops.
-  ``tests/test_kernel_parity.py`` pins each ``*_many`` kernel against
-  its scalar sibling.
+  (:mod:`repro.engine.pack`); ``tests/test_kernel_parity.py`` pins its
+  round trips against the scalar form.
 """
 
 from __future__ import annotations
@@ -182,51 +180,3 @@ def bits_to_tt(bits: np.ndarray) -> int:
     return int.from_bytes(
         np.packbits(bits, bitorder="little").tobytes(), "little"
     )
-
-
-def cofactor0_many(words: np.ndarray, var: int, n_vars: int) -> np.ndarray:
-    """Negative cofactor of every packed table — the batch-axis form of
-    :func:`cofactor0` (one vectorized pass; bit-identical per table)."""
-    _check_packed(words, n_vars)
-    if var >= n_vars:
-        raise TruthTableError(f"variable {var} out of range for {n_vars} vars")
-    if (1 << var) < 64:
-        # The 2*2^var period divides the word: pure in-lane masking.
-        mask = np.uint64(var_mask(var, min(n_vars, 6)) & 0xFFFFFFFFFFFFFFFF)
-        shift = np.uint64(1 << var)
-        lo = words & ~mask
-        return lo | (lo << shift)
-    # Word-granular: blocks of 2^(var-6) words alternate low/high halves;
-    # duplicate each low half over its high sibling.
-    block = 1 << (var - 6)
-    shaped = words.reshape(words.shape[0], -1, 2, block)
-    out = np.empty_like(shaped)
-    out[:, :, 0, :] = shaped[:, :, 0, :]
-    out[:, :, 1, :] = shaped[:, :, 0, :]
-    return out.reshape(words.shape)
-
-
-def cofactor1_many(words: np.ndarray, var: int, n_vars: int) -> np.ndarray:
-    """Positive cofactor of every packed table (batch form of
-    :func:`cofactor1`)."""
-    _check_packed(words, n_vars)
-    if var >= n_vars:
-        raise TruthTableError(f"variable {var} out of range for {n_vars} vars")
-    if (1 << var) < 64:
-        mask = np.uint64(var_mask(var, min(n_vars, 6)) & 0xFFFFFFFFFFFFFFFF)
-        shift = np.uint64(1 << var)
-        hi = words & mask
-        return hi | (hi >> shift)
-    block = 1 << (var - 6)
-    shaped = words.reshape(words.shape[0], -1, 2, block)
-    out = np.empty_like(shaped)
-    out[:, :, 0, :] = shaped[:, :, 1, :]
-    out[:, :, 1, :] = shaped[:, :, 1, :]
-    return out.reshape(words.shape)
-
-
-def _check_packed(words: np.ndarray, n_vars: int) -> None:
-    if words.ndim != 2 or words.shape[1] != words_per_table(n_vars):
-        raise TruthTableError(
-            f"packed batch shape {words.shape} does not match {n_vars} vars"
-        )

@@ -500,49 +500,6 @@ class TestResynthCache:
         assert entry == again
         assert cache.hits_exact >= 1
 
-    def test_npn_view_remaps_class_hits_functionally(self):
-        import random
-
-        from repro.aig.simulate import full_mask
-        from repro.engine import ResynthCache
-        from repro.opt.refactor import _resynthesize
-
-        params = RefactorParams()
-        full = full_mask(4)
-        cache = ResynthCache()
-        view = cache.npn_view()
-        rng = random.Random(7)
-        for _ in range(120):
-            tt = rng.randrange(1 << 16)
-            entry = view.get((tt, 4))
-            if entry is None:
-                entry = _resynthesize(tt, 4, params, None)
-                view[(tt, 4)] = entry
-            tree, inverted = entry
-            assert tree.eval_tt(4) ^ (full if inverted else 0) == tt
-        assert cache.hits_npn > 0
-        assert cache.hits_exact + cache.hits_npn + cache.misses == 120
-
-    def test_exact_handle_never_serves_npn(self):
-        from repro.engine import ResynthCache
-        from repro.opt.refactor import _resynthesize
-
-        cache = ResynthCache()
-        view = cache.npn_view()
-        # Stored through the NPN view, so the canonical table is
-        # populated; a base-handle store skips canonization.
-        view[(0x6666, 4)] = _resynthesize(0x6666, 4, RefactorParams(), None)
-        assert cache.get((0x9999, 4)) is None  # NPN-equivalent, exact miss
-        assert view.get((0x9999, 4)) is not None
-        # The remap lives in the view's overlay only: the exact handle
-        # must still miss, or sequential sharers would observe
-        # NPN-derived trees and lose their bit-identity guarantee.
-        assert cache.get((0x9999, 4)) is None
-        assert (0x9999, 4) not in cache
-        # A second view does not inherit the first view's overlay but can
-        # re-derive the remap from the shared canonical table.
-        assert cache.npn_view().get((0x9999, 4)) is not None
-
     def test_flow_level_cache_keeps_sequential_flows_bit_identical(self):
         g = divider(5)
         flowed, _report = run_flow(g.clone(), "rf; rfz")

@@ -1,6 +1,6 @@
 """Randomized parity battery: every optimized kernel vs its plain oracle.
 
-The truth-table hot loops (ISOP core, NPN canonizer, cofactor sweeps,
+The truth-table hot loops (ISOP core, NPN canonizer,
 ``expand_tt``, the batched cone-truth kernel) and the packed word-array
 representation the resynthesis pool's shared-memory transport ships
 each claim bit-identity with the straightforward formulation they
@@ -37,9 +37,7 @@ from repro.tt.npn import (
 from repro.tt.truth import (
     bits_to_tt,
     cofactor0,
-    cofactor0_many,
     cofactor1,
-    cofactor1_many,
     expand_tt,
     expand_tt_scalar,
     pack_tts,
@@ -199,32 +197,6 @@ class TestNpnParity:
     def test_rejects_wide_tables(self):
         with pytest.raises(TruthTableError):
             npn_canonize(1 << 16)
-
-
-# ----------------------------------------------------------------------
-# Packed word-array kernels
-# ----------------------------------------------------------------------
-
-
-class TestPackedCofactors:
-    @pytest.mark.parametrize("n_vars", [1, 2, 5, 6, 7, 8, 10])
-    def test_both_cofactors_all_vars(self, n_vars):
-        rng = random.Random(75 + n_vars)
-        tables = _random_tables(rng, n_vars, 40)
-        words = pack_tts(tables, n_vars)
-        for var in range(n_vars):
-            lo = cofactor0_many(words, var, n_vars)
-            hi = cofactor1_many(words, var, n_vars)
-            for row in range(len(tables)):
-                assert words_to_tt(lo[row]) == cofactor0(tables[row], var, n_vars)
-                assert words_to_tt(hi[row]) == cofactor1(tables[row], var, n_vars)
-
-    def test_shape_and_range_checks(self):
-        words = pack_tts([0b1010], 2)
-        with pytest.raises(TruthTableError):
-            cofactor0_many(words, 2, 2)  # var out of range
-        with pytest.raises(TruthTableError):
-            cofactor1_many(words, 0, 7)  # wrong word width for 7 vars
 
 
 class TestPackRoundTrips:

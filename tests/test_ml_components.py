@@ -178,6 +178,40 @@ class TestSampler:
         assert len(batches) == 2
         assert all(len(b) == 64 for b in batches)
 
+    @staticmethod
+    def _probs(labels):
+        positives = labels > 0.5
+        weights = np.where(positives, 1.0 / positives.sum(), 1.0 / (~positives).sum())
+        return weights / weights.sum()
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_stream_is_generator_choice(self, seed):
+        """Each epoch yields exactly the batches of consecutive
+        ``Generator.choice(n, size, p=probs)`` calls on the same seed."""
+        labels = (np.arange(1000) % 37 == 0).astype(float)
+        sampler = WeightedRandomSampler(labels, batch_size=64, seed=seed)
+        rng = np.random.default_rng(seed)
+        probs = self._probs(labels)
+        for max_batches in (None, 4, None, 1):
+            batches = sampler.epoch(max_batches)
+            expected_k = 1000 // 64 if max_batches is None else max_batches
+            assert batches.shape == (expected_k, 64)
+            for batch in batches:
+                assert np.array_equal(batch, rng.choice(1000, size=64, p=probs))
+
+    def test_stream_without_replacement(self):
+        labels = (np.arange(300) % 10 == 0).astype(float)
+        sampler = WeightedRandomSampler(labels, batch_size=50, seed=3, replacement=False)
+        rng = np.random.default_rng(3)
+        probs = self._probs(labels)
+        for _ in range(2):
+            batches = sampler.epoch()
+            assert batches.shape == (6, 50)
+            for batch in batches:
+                assert len(set(batch.tolist())) == 50
+                expected = rng.choice(300, size=50, replace=False, p=probs)
+                assert np.array_equal(batch, expected)
+
     def test_validation(self):
         with pytest.raises(TrainingError):
             WeightedRandomSampler(np.zeros(0))

@@ -462,14 +462,6 @@ class TestDeadlinePropagation:
         with pytest.raises(DeadlineExceeded):
             engine_refactor(g, EngineParams(workers=1, deadline=deadline))
 
-    def test_executor_sequential_floor_checks_deadline(self):
-        tasks = _resynth_tasks(n=32)
-        deadline = Deadline(2.0, clock=FakeClock())
-        with ResynthExecutor(1, RefactorParams()) as executor:
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                executor.run(tasks, deadline=deadline)
-        assert excinfo.value.site == "executor.sequential"
-
     def test_serve_circuit_timeout_keeps_valid_prefix(self):
         suite = {
             "a": layered_random_aig(10, 150, seed=1),

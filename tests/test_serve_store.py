@@ -227,9 +227,6 @@ class TestEngineCacheLRU:
             cache[(i, 5)] = ("t", False)
         assert len(cache) == 300
 
-    def test_npn_view_inherits_bound(self):
-        assert ResynthCache(max_entries=7).npn_view().max_entries == 7
-
     def test_session_threads_cache_entries(self):
         with OptSession(cache_entries=3) as session:
             assert session.resynth_cache.max_entries == 3
