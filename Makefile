@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-all profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-key bench-all profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -83,6 +83,13 @@ bench-tune:
 # classifier; merges the `train` rows into BENCH_engine.json.
 bench-train:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_train.py
+
+# Store-key cost of a repeat served request on the elfbench serve pools:
+# median ms of parse+digest keying vs the text-memo hit, plus a sha256
+# over the keys both paths produce (must be equal); merges the
+# `serve_key` rows into BENCH_engine.json.
+bench-key:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve_key.py
 
 # Full paper benchmark suite (trains/caches classifiers on first run).
 bench-all:

@@ -7,6 +7,7 @@ with arbitrary arity), converting to AIG on the fly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
 from pathlib import Path
 
@@ -73,6 +74,23 @@ def read(path: str | Path) -> AIG:
     return from_text(Path(path).read_text(encoding="ascii"), name=Path(path).stem)
 
 
+def code_lines(text: str) -> Iterator[tuple[str, str]]:
+    """``(raw line, code)`` for every line of ``text`` that carries code.
+
+    The parser's one rule for what it ignores: lines are split by
+    :meth:`str.splitlines` (so ``\r`` ends a line, as ``\n`` does),
+    everything from a line's first ``#`` is a comment, and surrounding
+    whitespace and blank lines are dropped.  :func:`from_text` reads
+    only the ``code`` strings, so two texts with equal code sequences
+    parse to identical AIGs — the serving front's text memo
+    (:func:`repro.serve.store.text_key`) keys on exactly this sequence.
+    """
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield raw, line
+
+
 def from_text(text: str, name: str = "aig") -> AIG:
     """Parse BENCH netlist text into an AIG.
 
@@ -85,10 +103,7 @@ def from_text(text: str, name: str = "aig") -> AIG:
     signals: dict[str, int] = {"gnd": 0, "vdd": 1}
     pending: list[tuple[str, str, list[str]]] = []
     outputs: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in code_lines(text):
         upper = line.upper()
         if upper.startswith("INPUT("):
             name = line[line.index("(") + 1 : line.rindex(")")].strip()

@@ -1,9 +1,9 @@
 """The six structural cut features of the ELF classifier (paper SS III-C).
 
-The features are accumulated *during* cut construction (see
-:mod:`repro.cuts.reconv`) so that feature collection adds almost no
-runtime on top of forming the cut — the property the paper relies on to
-keep inference cheaper than resynthesis.
+The features are counted by :mod:`repro.cuts.reconv` in one pass over
+the finished cone's interior fanin edges, so feature collection adds
+little runtime on top of forming the cut — the property the paper
+relies on to keep inference cheaper than resynthesis.
 
 Feature semantics, following Fig. 2 of the paper:
 

@@ -6,8 +6,9 @@ replacement by its fanins grows the leaf set the least
 the leaf limit.  This is the cut construction the refactor operator uses
 (default limit 10, ABC's ``nNodeSizeMax``).
 
-The paper's six features are accumulated with simple counters while the
-cut grows, making feature extraction essentially free (SS III-C).
+The paper's six features are counted in one pass over the finished
+cone's interior fanin edges, so feature extraction costs about as much
+as forming the cut (SS III-C).
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ def reconv_cut(
     leaves: list[int] = [root]
     visited: set[int] = {root}
     interior: set[int] = set()
-    # Feature accumulators.
-    cut_fanout = 0
-    n_reconv = 0
-    edges_into_cone: dict[int, int] = {}
     fanin0, fanin1 = g._fanin0, g._fanin1
     refs = g._refs
 
@@ -87,22 +84,6 @@ def reconv_cut(
         # Expand: move best_leaf into the interior, add unseen fanins.
         leaves.remove(best_leaf)
         interior.add(best_leaf)
-        if collect_features:
-            # Outward edges of the expanded node: its total fanout minus
-            # edges to nodes already inside the cone (zero-copy iteration).
-            inside = sum(1 for f in g.iter_fanouts(best_leaf) if f in interior)
-            cut_fanout += refs[best_leaf] - inside
-            for fanin_lit in (fanin0[best_leaf], fanin1[best_leaf]):
-                fanin = fanin_lit >> 1
-                count = edges_into_cone.get(fanin, 0) + 1
-                edges_into_cone[fanin] = count
-                if count == 2:
-                    n_reconv += 1
-                if fanin in interior:
-                    # This edge was counted as outgoing when ``fanin`` was
-                    # expanded (the current node was not interior yet);
-                    # it just became cone-internal.
-                    cut_fanout -= 1
         for fanin_lit in (fanin0[best_leaf], fanin1[best_leaf]):
             fanin = fanin_lit >> 1
             if fanin not in visited:
@@ -111,12 +92,29 @@ def reconv_cut(
 
     features = None
     if collect_features:
+        # Every edge into the interior is the fanin edge of an interior
+        # node.  ``cut_fanout`` = all edges out of interior nodes minus
+        # those that end inside; ``n_reconvergent`` counts the distinct
+        # nodes seen on two or more of these edges (``once``/``twice``:
+        # a node with three edges still counts once).
+        cut_fanout = 0
+        once: set[int] = set()
+        twice: set[int] = set()
+        for node in interior:
+            cut_fanout += refs[node]
+            for fanin in (fanin0[node] >> 1, fanin1[node] >> 1):
+                if fanin in interior:
+                    cut_fanout -= 1
+                if fanin in once:
+                    twice.add(fanin)
+                else:
+                    once.add(fanin)
         features = CutFeatures(
             root_fanout=refs[root],
             root_level=g._level[root],
             cut_fanout=cut_fanout,
             cut_size=len(interior),
-            n_reconvergent=n_reconv,
+            n_reconvergent=len(twice),
             n_leaves=len(leaves),
         )
     return ReconvCut(root=root, leaves=leaves, interior=interior, features=features)

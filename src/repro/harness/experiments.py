@@ -8,6 +8,7 @@ part, and render paper-vs-measured tables.  Heavy shared artifacts
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +74,27 @@ def suite_datasets(suite: dict[str, AIG], tag: str) -> dict[str, CutDataset]:
     }
 
 
+def _training_tag(config: TrainConfig, target_recall: float) -> str:
+    """Short digest of the training settings, part of every classifier
+    cache key: a call with another config or recall target must train
+    its own classifiers, not load the first call's."""
+    settings = repr((config, float(target_recall))).encode()
+    return hashlib.blake2b(settings, digest_size=6).hexdigest()
+
+
 def loo_classifiers(
     datasets: dict[str, CutDataset],
     tag: str,
     config: TrainConfig | None = None,
     target_recall: float = TARGET_RECALL,
 ) -> dict[str, ElfClassifier]:
-    """One leave-one-out classifier per test design (cached)."""
+    """One leave-one-out classifier per test design (cached per design
+    and training settings)."""
     config = config or DEFAULT_TRAIN_CONFIG
+    settings = _training_tag(config, target_recall)
     return {
         name: cached_classifier(
-            f"{tag}_loo_{name}",
+            f"{tag}_loo_{name}_{settings}",
             lambda n=name: train_leave_one_out(datasets, n, config, target_recall),
         )
         for name in datasets
@@ -100,7 +111,7 @@ def global_classifier(
     where the test circuits contribute no training data at all)."""
     config = config or DEFAULT_TRAIN_CONFIG
     return cached_classifier(
-        f"{tag}_global",
+        f"{tag}_global_{_training_tag(config, target_recall)}",
         lambda: train_pooled(list(datasets.values()), config, target_recall),
     )
 

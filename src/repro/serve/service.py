@@ -13,7 +13,10 @@ service composes the serving stack end to end —
 * a **content-addressed result cache** (:class:`repro.serve.store.ResultStore`)
   keyed ``(structural digest, normalized script, registry version)``:
   repeat structures — whatever their node numbering or names — are
-  answered from memory, byte-identical to the original miss.
+  answered from memory, byte-identical to the original miss.  A repeat
+  *text* (the same netlist renamed in its header comment) skips even
+  the parse: the store's text memo maps its comment-free code lines to
+  the structural key.
 * **shard worker processes** (:class:`repro.serve.proc.ShardHost`): each
   shard owns a warm :class:`repro.opt.OptSession` in its own process;
   misses are dispatched to the least-loaded shard.  A dead shard is
@@ -322,8 +325,7 @@ class OptimizeService:
             }
         self._pending += 1
         try:
-            g = from_text(bench, name=name)
-            key = self.store.key(g, script)
+            key, n_ands_before, level_before = self.store.request_key(bench, script)
             hit = self.store.lookup(key)
             if hit is not None:
                 return {
@@ -333,8 +335,8 @@ class OptimizeService:
                     "bench": hit.bench_text,
                     "n_ands": hit.n_ands,
                     "level": hit.level,
-                    "n_ands_before": g.n_ands,
-                    "level_before": g.max_level(),
+                    "n_ands_before": n_ands_before,
+                    "level_before": level_before,
                     "runtime": 0.0,
                 }
             payload = await self._run_sharded(name, bench, script)
@@ -351,8 +353,8 @@ class OptimizeService:
                 "bench": payload.get("bench_text"),
                 "n_ands": payload.get("n_ands", 0),
                 "level": payload.get("level", 0),
-                "n_ands_before": payload.get("n_ands_before", g.n_ands),
-                "level_before": payload.get("level_before", 0),
+                "n_ands_before": payload.get("n_ands_before", n_ands_before),
+                "level_before": payload.get("level_before", level_before),
                 "deadline_exceeded": payload["deadline_exceeded"],
                 "runtime": payload.get("runtime", 0.0),
             }
@@ -366,8 +368,8 @@ class OptimizeService:
                         bench_text=payload["bench_text"],
                         n_ands=payload.get("n_ands", 0),
                         level=payload.get("level", 0),
-                        n_ands_before=payload.get("n_ands_before", g.n_ands),
-                        level_before=payload.get("level_before", 0),
+                        n_ands_before=payload.get("n_ands_before", n_ands_before),
+                        level_before=payload.get("level_before", level_before),
                     ),
                 )
             return response
@@ -455,6 +457,8 @@ class OptimizeService:
                 "evictions": self.store.evictions,
                 "entries": len(self.store),
                 "hit_rate": self.store.hit_rate,
+                "text_memo_hits": self.store.text_memo_hits,
+                "text_memo_misses": self.store.text_memo_misses,
             },
         }
 

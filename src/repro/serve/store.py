@@ -44,6 +44,27 @@ eviction (surviving restarts is their whole point), loads verify the
 embedded key before trusting a file, and a corrupt or alien file simply
 degrades to a miss.  Counted on ``serve_cache_spill_writes_total`` /
 ``serve_cache_spill_loads_total``.
+
+**Text memo.**  Keying a request by structure costs a parse and a
+digest, which is most of a hit's latency — yet most repeat requests
+resend the *same text* under a new name, and the name lives only in
+the ``# name`` header comment the parser throws away.  So
+:meth:`ResultStore.request_key` first looks the request text up in a
+bounded memo keyed by :func:`text_key`: blake2b-128 of the text's code
+lines, cut by :func:`repro.aig.io_bench.code_lines` — the very helper
+:func:`repro.aig.io_bench.from_text` reads its input through.  The memo
+is exact: ``from_text`` reads nothing but that code-line sequence, so
+two texts with equal code lines parse to identical AIGs (same signal
+names, same node numbering, same PO order), hence to the same
+structural digest, AND count and depth.  A memo hit therefore yields
+exactly the store key and the ``n_ands_before``/``level_before`` a
+re-parse would give, for one strip, one hash and two dict lookups.
+Anything the memo misses — a renumbered or re-spelled netlist — still
+meets the structural key after one parse.  The memo holds only the
+16-byte key and ``(digest, n_ands, level)``, never the text; it shares
+the store's ``max_entries`` LRU bound, is never spilled, and counts
+its decisions on ``serve_text_memo_hits_total`` /
+``serve_text_memo_misses_total`` (same ``store`` label).
 """
 
 from __future__ import annotations
@@ -58,9 +79,24 @@ from pathlib import Path
 from .. import obs
 from ..aig.digest import structural_digest
 from ..aig.graph import AIG
+from ..aig.io_bench import code_lines, from_text
 from ..opt.registry import CommandRegistry, default_registry
 
 Key = tuple[str, str, str]  # (structural digest, normalized script, registry version)
+Shape = tuple[str, int, int]  # (structural digest, n_ands, max_level) of a parse
+
+
+def text_key(text: str) -> bytes:
+    """16-byte text-memo key of BENCH ``text`` (see the module docstring).
+
+    Hashes the code lines :func:`repro.aig.io_bench.from_text` reads and
+    nothing else, so texts that differ only in comments, blank lines or
+    surrounding whitespace share a key.
+    """
+    code = "\n".join(line for _raw, line in code_lines(text))
+    return hashlib.blake2b(
+        code.encode("utf-8", "surrogatepass"), digest_size=16
+    ).digest()
 
 
 @dataclass(frozen=True)
@@ -115,8 +151,11 @@ class ResultStore:
         )
         self._spill_loads = metrics.counter("serve_cache_spill_loads_total", **labels)
         self._entries = metrics.gauge("serve_cache_entries", **labels)
+        self._text_hits = metrics.counter("serve_text_memo_hits_total", **labels)
+        self._text_misses = metrics.counter("serve_text_memo_misses_total", **labels)
         self._lock = threading.Lock()
         self._store: dict[Key, CachedResult] = {}
+        self._texts: dict[bytes, Shape] = {}  # text memo, same LRU bound
 
     # -- keying ---------------------------------------------------------------
 
@@ -132,6 +171,35 @@ class ResultStore:
             self.registry.normalize_script(script),
             self.registry.version,
         )
+
+    def request_key(self, text: str, script: str) -> tuple[Key, int, int]:
+        """Store key of serving ``script`` on BENCH ``text``, plus the
+        parsed circuit's AND count and depth.
+
+        A text-memo hit skips the parse (module docstring); a miss
+        parses ``text`` once and remembers its shape.  Raises like
+        :meth:`key` on an unresolvable script, and
+        :class:`repro.errors.BenchFormatError` on unparsable text (never
+        memoized).
+        """
+        normalized = self.registry.normalize_script(script)
+        memo_key = text_key(text)
+        with self._lock:
+            shape = self._texts.pop(memo_key, None)
+            if shape is not None:
+                self._texts[memo_key] = shape  # MRU refresh
+        if shape is not None:
+            self._text_hits.add(1)
+        else:
+            self._text_misses.add(1)
+            g = from_text(text)
+            shape = (structural_digest(g), g.n_ands, g.max_level())
+            with self._lock:
+                self._texts[memo_key] = shape
+                while len(self._texts) > self.max_entries:
+                    self._texts.pop(next(iter(self._texts)))
+        digest, n_ands, level = shape
+        return (digest, normalized, self.registry.version), n_ands, level
 
     # -- lookup / insert ------------------------------------------------------
 
@@ -246,6 +314,14 @@ class ResultStore:
     @property
     def spill_loads(self) -> int:
         return int(self._spill_loads.value)
+
+    @property
+    def text_memo_hits(self) -> int:
+        return int(self._text_hits.value)
+
+    @property
+    def text_memo_misses(self) -> int:
+        return int(self._text_misses.value)
 
     @property
     def hit_rate(self) -> float:

@@ -150,3 +150,78 @@ def test_cut_properties_random(seed, max_leaves):
     assert not (set(cut.leaves) & cut.interior)
     # Leaves must not be above the root.
     assert all(g.level(leaf) <= g.level(node) for leaf in cut.leaves)
+
+
+def _incremental_cut(g, root, max_leaves):
+    """Oracle: the cut grown with its features accumulated per expansion
+    (every expansion scans the new interior node's fanouts and counts
+    edges into the cone in a dict).  Returns ``(leaves, features,
+    most edges any one node sends into the interior)``."""
+    leaves, visited, interior = [root], {root}, set()
+    cut_fanout = n_reconv = 0
+    edges_into_cone = {}
+    fanin0, fanin1, refs = g._fanin0, g._fanin1, g._refs
+    while True:
+        best_leaf, best_cost = -1, 1 << 30
+        for leaf in leaves:
+            f0 = fanin0[leaf]
+            if f0 < 0:
+                continue
+            cost = -1 + ((f0 >> 1) not in visited) + ((fanin1[leaf] >> 1) not in visited)
+            if cost < best_cost:
+                best_cost, best_leaf = cost, leaf
+                if cost <= 0:
+                    break
+        if best_leaf < 0 or len(leaves) + best_cost > max_leaves:
+            break
+        leaves.remove(best_leaf)
+        interior.add(best_leaf)
+        inside = sum(1 for f in g.iter_fanouts(best_leaf) if f in interior)
+        cut_fanout += refs[best_leaf] - inside
+        for fanin_lit in (fanin0[best_leaf], fanin1[best_leaf]):
+            fanin = fanin_lit >> 1
+            edges_into_cone[fanin] = edges_into_cone.get(fanin, 0) + 1
+            if edges_into_cone[fanin] == 2:
+                n_reconv += 1
+            if fanin in interior:
+                cut_fanout -= 1
+        for fanin_lit in (fanin0[best_leaf], fanin1[best_leaf]):
+            fanin = fanin_lit >> 1
+            if fanin not in visited:
+                visited.add(fanin)
+                leaves.append(fanin)
+    features = CutFeatures(
+        root_fanout=refs[root],
+        root_level=g._level[root],
+        cut_fanout=cut_fanout,
+        cut_size=len(interior),
+        n_reconvergent=n_reconv,
+        n_leaves=len(leaves),
+    )
+    return leaves, features, max(edges_into_cone.values(), default=0)
+
+
+def test_features_match_incremental_oracle():
+    """Counting on the finished cone gives the per-expansion counters'
+    exact features and leaves, on cuts where some node sends three or
+    more edges into the cone (so counting edges instead of distinct
+    nodes would show)."""
+    from repro.circuits import arith
+
+    circuits = [
+        arith.multiplier(6),
+        arith.alu(8),
+        arith.divider(5),
+        random_aig(8, 200, 4, seed=31),
+    ]
+    n_cuts = n_triple = 0
+    for g in circuits:
+        for max_leaves in (6, 10):
+            for node in g.and_ids():
+                cut = reconv_cut(g, node, max_leaves=max_leaves)
+                leaves, features, most = _incremental_cut(g, node, max_leaves)
+                assert cut.leaves == leaves
+                assert cut.features == features, (g.name, node, max_leaves)
+                n_cuts += 1
+                n_triple += most >= 3
+    assert n_cuts > 1000 and n_triple > 10

@@ -87,3 +87,47 @@ def test_feature_matrix_keeps_positives():
     x, y = feature_matrix(datasets, max_per_design=5)
     assert (y > 0.5).sum() == 2  # all positives retained
     assert len(x) >= 5
+
+
+def test_classifier_cache_keys_on_training_settings(monkeypatch):
+    from repro.harness import experiments
+    from repro.ml.train import TrainConfig
+
+    calls = []
+    real_loo, real_pooled = experiments.train_leave_one_out, experiments.train_pooled
+
+    def counting_loo(*args):
+        calls.append("loo")
+        return real_loo(*args)
+
+    def counting_pooled(*args):
+        calls.append("global")
+        return real_pooled(*args)
+
+    monkeypatch.setattr(experiments, "train_leave_one_out", counting_loo)
+    monkeypatch.setattr(experiments, "train_pooled", counting_pooled)
+    from repro.circuits import arith
+
+    suite = {"mul4": arith.multiplier(4), "add8": arith.adder(8), "alu6": arith.alu(6)}
+    datasets = suite_datasets(suite, "unit")
+    assert all(d.y.sum() > 0 for d in datasets.values())  # thresholds can move
+    loose = (TrainConfig(epochs=3), 0.5)
+    strict = (TrainConfig(epochs=3, seed=9), 0.99)
+
+    first = experiments.loo_classifiers(datasets, "probe", *loose)
+    second = experiments.loo_classifiers(datasets, "probe", *strict)
+    assert len(calls) == 2 * len(datasets)  # the second settings trained anew
+    for name in datasets:
+        assert first[name].threshold != second[name].threshold
+    again = experiments.loo_classifiers(datasets, "probe", *loose)
+    assert len(calls) == 2 * len(datasets)  # same settings: served from disk
+    assert [c.threshold for c in again.values()] == [
+        c.threshold for c in first.values()
+    ]
+
+    g_loose = experiments.global_classifier(datasets, "probe", *loose)
+    g_strict = experiments.global_classifier(datasets, "probe", *strict)
+    assert calls.count("global") == 2
+    assert g_loose.threshold != g_strict.threshold
+    experiments.global_classifier(datasets, "probe", *loose)
+    assert calls.count("global") == 2

@@ -16,11 +16,12 @@ import time
 import pytest
 
 from repro import obs
-from repro.aig.io_bench import to_text
+from repro.aig.io_bench import from_text, to_text
 from repro.harness import serve_throughput
 from repro.opt import run_flow
 from repro.resilience import faults
-from repro.serve import ResultStore, ServeParams, serve_suite_procs
+from repro.serve import CachedResult, ResultStore, ServeParams, serve_suite_procs
+from repro.serve import store as store_module
 from repro.serve.service import (
     OptimizeService,
     ServiceConfig,
@@ -152,6 +153,47 @@ class TestServiceValidation:
         assert not response["ok"] and response["error"]["type"] == "unknown_op"
 
 
+class TestServiceTextMemo:
+    """The front keys a renamed repeat without parsing it."""
+
+    def test_renamed_copy_is_cached_without_a_parse(self, monkeypatch):
+        calls = []
+
+        def counting(text, name="aig"):
+            calls.append(name)
+            return from_text(text, name)
+
+        monkeypatch.setattr(store_module, "from_text", counting)
+        service = OptimizeService(ServiceConfig(script=FLOW))
+        g = random_aig(6, 90, 3, seed=6, name="memo")
+        out, _ = run_flow(g.clone(), FLOW)
+        service.store.insert(
+            service.store.key(g, FLOW),
+            CachedResult(to_text(out), out.n_ands, out.max_level(), g.n_ands, 0),
+        )
+        bench = to_text(g)
+        first = asyncio.run(
+            service._optimize_inner({"op": "optimize", "name": "memo", "bench": bench})
+        )
+        assert first["cached"] is True and len(calls) == 1
+        renamed = bench.replace("# memo\n", "# memo~1\n", 1)
+        assert renamed != bench
+        second = asyncio.run(
+            service._optimize_inner(
+                {"op": "optimize", "name": "memo~1", "bench": renamed}
+            )
+        )
+        assert second["ok"] and second["cached"] is True
+        assert len(calls) == 1  # no parse for the repeat
+        assert second["bench"] == first["bench"] == to_text(out)
+        fresh = from_text(renamed, name="memo~1")
+        assert second["n_ands_before"] == fresh.n_ands
+        assert second["level_before"] == fresh.max_level()
+        stats = service._stats()["cache"]
+        assert stats["text_memo_hits"] == 1 and stats["text_memo_misses"] == 1
+        assert stats["hits"] == 2
+
+
 @pytest.mark.slow
 class TestServiceEndToEnd:
     def test_miss_then_byte_identical_hit_over_socket(self, tmp_path):
@@ -189,6 +231,8 @@ class TestServiceEndToEnd:
 
             stats = request(socket_path, {"op": "stats"})
             assert stats["cache"]["hits"] == 1 and stats["cache"]["misses"] == 1
+            assert stats["cache"]["text_memo_hits"] == 1
+            assert stats["cache"]["text_memo_misses"] == 1
 
             metrics = request(socket_path, {"op": "metrics"})
             assert "serve_cache_hits_total" in metrics["text"]

@@ -9,16 +9,21 @@ command surface.  The LRU bounds (store entries, engine `ResynthCache`
 layers) guard the long-lived service against unbounded growth.
 """
 
+import hashlib
+import re
+
 import pytest
 
 from repro import obs
 from repro.aig import AIG, structural_digest
 from repro.aig.io_bench import from_text, to_text
 from repro.engine import ResynthCache
-from repro.errors import ReproError
+from repro.errors import BenchFormatError, ReproError
 from repro.opt import OptSession, run_flow
 from repro.opt.registry import CommandSpec, default_registry
 from repro.serve import CachedResult, ResultStore
+from repro.serve import store as store_module
+from repro.serve.store import text_key
 
 from .util import random_aig
 
@@ -207,6 +212,121 @@ class TestStoreSpill:
         store.insert(("digest3", "rf", "v"), _entry("k4"))
         assert store.spill_writes == 0 and store.spill_loads == 0
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Count the store's ``from_text`` calls (each one is a real parse)."""
+    calls = []
+
+    def counting(text, name="aig"):
+        calls.append(name)
+        return from_text(text, name)
+
+    monkeypatch.setattr(store_module, "from_text", counting)
+    return calls
+
+
+def _renamed(text: str, name: str) -> str:
+    """``text`` with its ``# name`` header comment replaced."""
+    header, rest = text.split("\n", 1)
+    assert header.startswith("# ")
+    return f"# {name}\n{rest}"
+
+
+# Two texts that differ only after a ``\r`` that follows a ``#``:
+# ``str.splitlines`` ends the comment at the ``\r``, so the gate line is
+# code, and the two circuits compute AND vs OR.
+_CR_AND = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n# tag\ry = AND(a, b)\n"
+_CR_OR = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n# tag\ry = OR(a, b)\n"
+
+
+def _check_cr_texts_keep_apart(store: ResultStore) -> None:
+    for text in (_CR_AND, _CR_OR, _CR_AND):
+        key, n_ands, level = store.request_key(text, "b")
+        fresh = from_text(text)
+        assert key == store.key(fresh, "b")
+        assert (n_ands, level) == (fresh.n_ands, fresh.max_level())
+
+
+class TestTextMemo:
+    def test_renamed_copy_skips_the_parse(self, parse_calls):
+        store = ResultStore()
+        g = random_aig(6, 70, 3, seed=18, name="orig")
+        text = to_text(g)
+        first = store.request_key(text, "b; rf")
+        assert len(parse_calls) == 1
+        copy = _renamed(text, "orig~1")
+        assert copy != text
+        assert store.request_key(copy, "b; f") == first  # alias spelling too
+        assert len(parse_calls) == 1  # answered without a parse
+        fresh = from_text(copy, name="orig~1")
+        assert first == (store.key(fresh, "b; rf"), fresh.n_ands, fresh.max_level())
+        assert store.text_memo_hits == 1 and store.text_memo_misses == 1
+
+    def test_cr_ends_a_comment(self):
+        assert text_key(_CR_AND) != text_key(_CR_OR)
+        assert from_text(_CR_AND).structural_digest() != (
+            from_text(_CR_OR).structural_digest()
+        )
+        store = ResultStore()
+        _check_cr_texts_keep_apart(store)
+        assert store.text_memo_misses == 2 and store.text_memo_hits == 1
+
+    def test_regex_comment_strip_fails_the_cr_check(self, monkeypatch):
+        """A key that strips ``#`` to end-of-``\n`` reads the gate line as
+        comment, so the OR text would be served the AND text's key."""
+
+        def regex_key(text: str) -> bytes:
+            code = re.sub(r"#[^\n]*", "", text)
+            return hashlib.blake2b(code.encode(), digest_size=16).digest()
+
+        assert regex_key(_CR_AND) == regex_key(_CR_OR)
+        monkeypatch.setattr(store_module, "text_key", regex_key)
+        with pytest.raises(AssertionError):
+            _check_cr_texts_keep_apart(ResultStore())
+
+    def test_whitespace_and_blank_lines_share_a_key(self):
+        text = to_text(random_aig(5, 40, 2, seed=19))
+        noisy = "\n\n" + text.replace("\n", "  # note\n\n\t ")
+        assert text_key(noisy) == text_key(text)
+        assert from_text(noisy).structural_digest() == (
+            from_text(text).structural_digest()
+        )
+
+    def test_memo_is_bounded_by_max_entries(self, parse_calls):
+        store = ResultStore(max_entries=2)
+        texts = [to_text(random_aig(5, 40, 2, seed=20 + i)) for i in range(3)]
+        for text in texts:
+            store.request_key(text, "b")
+        assert len(store._texts) == 2 and len(parse_calls) == 3
+        store.request_key(texts[2], "b")  # most recent: still memoized
+        assert len(parse_calls) == 3
+        store.request_key(texts[0], "b")  # the LRU entry was evicted
+        assert len(parse_calls) == 4 and len(store._texts) == 2
+
+    def test_memo_never_spills(self, tmp_path):
+        store = ResultStore(spill_dir=tmp_path)
+        text = to_text(random_aig(5, 40, 2, seed=23))
+        store.request_key(text, "b")
+        store.request_key(_renamed(text, "again"), "b")
+        assert store.text_memo_hits == 1
+        assert list(tmp_path.iterdir()) == [] and store.spill_writes == 0
+
+    def test_unparsable_text_is_not_memoized(self):
+        store = ResultStore()
+        with pytest.raises(BenchFormatError):
+            store.request_key("INPUT(a)\ny = FROB(a)\n", "b")
+        assert len(store._texts) == 0
+
+    def test_counters_are_labelled_per_store(self):
+        store = ResultStore()
+        text = to_text(random_aig(5, 40, 2, seed=24))
+        for _ in range(3):
+            store.request_key(text, "b")
+        reg = obs.metrics()
+        assert reg.value("serve_text_memo_hits_total", store=store.label) == 2
+        assert reg.value("serve_text_memo_misses_total", store=store.label) == 1
 
 
 class TestEngineCacheLRU:
