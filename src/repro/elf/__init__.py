@@ -8,6 +8,7 @@ from .pipeline import (
     compare,
     evaluate_classifier,
     train_leave_one_out,
+    train_leave_one_out_family,
     train_pooled,
 )
 
@@ -20,5 +21,6 @@ __all__ = [
     "elf_refactor",
     "evaluate_classifier",
     "train_leave_one_out",
+    "train_leave_one_out_family",
     "train_pooled",
 ]

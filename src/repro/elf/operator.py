@@ -91,8 +91,13 @@ def elf_refactor(
                     stats.pruned += 1
                     continue
                 t0 = time.perf_counter()
+                # Form the cut the collector records before resynthesis
+                # can delete the node, as refactor() does.
                 cut = reconv_cut(
-                    g, node, params.refactor.max_leaves, collect_features=False
+                    g,
+                    node,
+                    params.refactor.max_leaves,
+                    collect_features=collector is not None,
                 )
                 stats.time_cut += time.perf_counter() - t0
             else:
@@ -114,13 +119,7 @@ def elf_refactor(
                 g, node, cut, params.refactor, required, stats, cache, twins
             )
             if collector is not None:
-                committed_features = cut.features
-                if committed_features is None:
-                    cut_feats = reconv_cut(
-                        g, node, params.refactor.max_leaves, collect_features=True
-                    )
-                    committed_features = cut_feats.features
-                collector(committed_features, committed)
+                collector(cut.features, committed)
         pass_span.set(
             nodes=stats.nodes_visited,
             pruned=stats.pruned,

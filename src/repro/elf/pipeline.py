@@ -5,18 +5,33 @@ datasets by running the baseline operator, train on every circuit except
 the one under test (the paper's generalization protocol), deploy the
 fused classifier, and measure runtime/quality of baseline refactor vs
 ELF on fresh clones.
+
+:func:`train_leave_one_out_family` trains all K held-out classifiers of
+a suite in one :func:`repro.ml.train.train_classifiers` call, which
+steps the K models in lockstep; each comes out bit for bit as a model
+trained alone on its pool would.  :func:`train_leave_one_out`, the
+one-circuit entry point, serves from a one-slot memo of the last family.
+The memo's key is a digest of every dataset's name and bytes,
+``repr(config)`` and ``target_recall``, so it never serves a classifier
+trained on other data or settings: changing any of them retrains the
+family.  Each call returns its own copy, so a caller may change what it
+gets without touching what the next call gets.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..aig.graph import AIG
 from ..errors import TrainingError
 from ..ml.dataset import CutDataset, DatasetCollector
 from ..ml.metrics import Confusion, confusion
-from ..ml.train import TrainConfig, train_classifier
+from ..ml.train import TrainConfig, TrainResult, train_classifier, train_classifiers
 from ..opt.refactor import RefactorParams, RefactorStats, refactor
 from .classifier import ElfClassifier
 from .operator import ElfParams, elf_refactor
@@ -33,6 +48,10 @@ def collect_dataset(
     return collector.dataset(name if name is not None else g.name)
 
 
+# (key, family) of the last leave-one-out family trained.
+_FAMILY_MEMO: tuple[bytes, dict[str, ElfClassifier]] | None = None
+
+
 def train_leave_one_out(
     datasets: dict[str, CutDataset],
     test_name: str,
@@ -42,14 +61,63 @@ def train_leave_one_out(
     """Train on every dataset except ``test_name`` (paper SS IV-A).
 
     The decision threshold is calibrated on the *training* data only, so
-    the test circuit stays fully unseen.
+    the test circuit stays fully unseen.  The whole family is trained on
+    the first call and the other circuits' calls are served from the
+    memo (module docstring).
     """
+    global _FAMILY_MEMO
     if test_name not in datasets:
         raise TrainingError(f"unknown test design {test_name!r}")
-    training = [d for name, d in datasets.items() if name != test_name]
-    if not training:
+    config = config or TrainConfig()
+    key = _family_key(datasets, config, target_recall)
+    if _FAMILY_MEMO is None or _FAMILY_MEMO[0] != key:
+        _FAMILY_MEMO = (key, train_leave_one_out_family(datasets, config, target_recall))
+    return copy.deepcopy(_FAMILY_MEMO[1][test_name])
+
+
+def _family_key(
+    datasets: dict[str, CutDataset], config: TrainConfig, target_recall: float
+) -> bytes:
+    h = hashlib.blake2b(digest_size=16)
+    for name, dataset in datasets.items():
+        h.update(repr((name, dataset.x.shape)).encode())
+        h.update(np.ascontiguousarray(dataset.x).data)
+        h.update(np.ascontiguousarray(dataset.y).data)
+    h.update(repr((config, float(target_recall))).encode())
+    return h.digest()
+
+
+def train_leave_one_out_family(
+    datasets: dict[str, CutDataset],
+    config: TrainConfig | None = None,
+    target_recall: float = 0.95,
+) -> dict[str, ElfClassifier]:
+    """Every leave-one-out classifier of ``datasets`` in one training
+    call: classifier ``name`` trains on, and is calibrated on, every
+    dataset except ``name``, exactly as :func:`train_pooled` would.
+    The family trains as a whole: if one circuit's pool is too small to
+    train on, no classifier is returned.
+
+    Each dataset is standardized once, not once per pool it joins.
+    """
+    if len(datasets) < 2:
         raise TrainingError("leave-one-out needs at least two datasets")
-    return train_pooled(training, config, target_recall)
+    nonempty = {name: d for name, d in datasets.items() if len(d) > 0}
+    standardized = {name: d.standardized()[0] for name, d in nonempty.items()}
+    pools = {
+        held_out: [name for name in nonempty if name != held_out] for held_out in datasets
+    }
+    results = train_classifiers(
+        [
+            CutDataset.concatenate([standardized[name] for name in pool], name="pooled")
+            for pool in pools.values()
+        ],
+        config,
+    )
+    return {
+        held_out: _calibrated(result, [nonempty[name] for name in pool], target_recall)
+        for (held_out, pool), result in zip(pools.items(), results)
+    }
 
 
 def train_pooled(
@@ -67,12 +135,17 @@ def train_pooled(
     nonempty = [d for d in training if len(d) > 0]
     standardized = [d.standardized()[0] for d in nonempty]
     merged = CutDataset.concatenate(standardized, name="pooled")
-    result = train_classifier(merged, config)
+    return _calibrated(train_classifier(merged, config), nonempty, target_recall)
+
+
+def _calibrated(
+    result: TrainResult, training: list[CutDataset], target_recall: float
+) -> ElfClassifier:
     return ElfClassifier.from_training(
         result,
         target_recall,
-        calibration=[d.x for d in nonempty],
-        calibration_labels=[d.y for d in nonempty],
+        calibration=[d.x for d in training],
+        calibration_labels=[d.y for d in training],
     )
 
 

@@ -20,7 +20,7 @@ from ..elf.pipeline import (
     collect_dataset,
     compare,
     evaluate_classifier,
-    train_leave_one_out,
+    train_leave_one_out_family,
     train_pooled,
 )
 from ..elf.operator import ElfParams
@@ -89,13 +89,19 @@ def loo_classifiers(
     target_recall: float = TARGET_RECALL,
 ) -> dict[str, ElfClassifier]:
     """One leave-one-out classifier per test design (cached per design
-    and training settings)."""
+    and training settings).  A cache miss trains the whole family once."""
     config = config or DEFAULT_TRAIN_CONFIG
     settings = _training_tag(config, target_recall)
+    family: dict[str, ElfClassifier] = {}
+
+    def train(name: str) -> ElfClassifier:
+        if not family:
+            family.update(train_leave_one_out_family(datasets, config, target_recall))
+        return family[name]
+
     return {
         name: cached_classifier(
-            f"{tag}_loo_{name}_{settings}",
-            lambda n=name: train_leave_one_out(datasets, n, config, target_recall),
+            f"{tag}_loo_{name}_{settings}", lambda n=name: train(n)
         )
         for name in datasets
     }

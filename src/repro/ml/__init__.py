@@ -10,7 +10,7 @@ from .mlp import PAPER_LAYERS, MLP
 from .optim import Adam, SGD
 from .sampler import WeightedRandomSampler
 from .schedule import CosineAnnealingWarmRestarts
-from .train import TrainConfig, TrainResult, train_classifier
+from .train import TrainConfig, TrainResult, train_classifier, train_classifiers
 
 __all__ = [
     "Adam",
@@ -33,4 +33,5 @@ __all__ = [
     "mixup_batch",
     "threshold_for_recall",
     "train_classifier",
+    "train_classifiers",
 ]

@@ -3,6 +3,11 @@
 Binary cross entropy is the paper's production loss; focal and
 class-balanced variants are included because the paper reports trying
 them (SS IV-A) — the ablation bench reproduces that comparison.
+
+Both losses take one batch ``(n,)`` or a stack of K batches ``(K, n)``
+(the lockstep trainer's); the loss is the mean over the last axis, a
+float for one batch and a ``(K,)`` array for a stack, and each stacked
+row gets the bits its batch gets alone.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ def bce_with_logits(
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
         raise TrainingError("logits/targets shape mismatch")
-    n = logits.size
+    n = logits.shape[-1] if logits.ndim else 0
     if n == 0:
         raise TrainingError("empty batch")
     # log(1 + exp(z)) computed stably.
@@ -38,7 +43,7 @@ def bce_with_logits(
         weights = np.asarray(weights, dtype=np.float64)
         per_sample = per_sample * weights
         grad = grad * weights
-    return float(per_sample.mean()), grad / n
+    return _batch_mean(per_sample), grad / n
 
 
 def focal_loss_with_logits(
@@ -62,7 +67,13 @@ def focal_loss_with_logits(
         -gamma * (1 - pt) ** (gamma - 1) * log_pt + (1 - pt) ** gamma / np.clip(pt, eps, 1.0)
     )
     grad = dloss_dpt * dpt_dz
-    return float(per_sample.mean()), grad / logits.size
+    return _batch_mean(per_sample), grad / logits.shape[-1]
+
+
+def _batch_mean(per_sample: np.ndarray) -> float | np.ndarray:
+    # ``mean`` is this sum and division, behind a Python wrapper.
+    loss = np.add.reduce(per_sample, axis=-1) / per_sample.shape[-1]
+    return float(loss) if per_sample.ndim == 1 else loss
 
 
 def class_balanced_weights(labels: np.ndarray, beta: float = 0.999) -> np.ndarray:

@@ -24,11 +24,47 @@ def mixup_batch(
         raise TrainingError("x/y batch size mismatch")
     if alpha <= 0 or x.shape[0] < 2:
         return x, y
-    rng = rng or np.random.default_rng()
-    lam = float(rng.beta(alpha, alpha))
-    # Symmetry: keep the larger share on the original sample.
-    lam = max(lam, 1.0 - lam)
-    perm = rng.permutation(x.shape[0])
-    x_mixed = lam * x + (1 - lam) * x[perm]
-    y_mixed = lam * y + (1 - lam) * y[perm]
-    return x_mixed, y_mixed
+    lam, perms = mixup_draws(rng or np.random.default_rng(), alpha, 1, x.shape[0])
+    x_mixed, y_mixed = mixup_stacked(x[None], y[None], lam, perms)
+    return x_mixed[0], y_mixed[0]
+
+
+def mixup_draws(
+    rng: np.random.Generator, alpha: float, batches: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``batches`` consecutive :func:`mixup_batch` calls on
+    ``n``-row batches: ``lam (batches,)`` and ``perms (batches, n)``.
+
+    Drawn in :func:`mixup_batch`'s order (``beta``, then the
+    permutation), so a trainer may take an epoch's draws up front as
+    long as nothing else draws from ``rng`` in between.
+    """
+    lam = np.empty(batches)
+    # ``permutation(n)`` is ``shuffle(arange(n))``: same draws, no copies.
+    perms = np.empty((batches, n), dtype=np.int64)
+    perms[:] = np.arange(n)
+    for batch in range(batches):
+        draw = float(rng.beta(alpha, alpha))
+        # Symmetry: keep the larger share on the original sample.
+        lam[batch] = max(draw, 1.0 - draw)
+        rng.shuffle(perms[batch])
+    return lam, perms
+
+
+def mixup_stacked(
+    x: np.ndarray, y: np.ndarray, lam: np.ndarray, partners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mix a stack of K batches ``x (K, n, d)``, ``y (K, n)`` — or one
+    batch ``x (n, d)``, ``y (n,)`` with a scalar ``lam`` — batch ``k``
+    with ``lam[k]`` and the rows ``partners[k]``, which index the stack's
+    K * n rows (row ``i`` of batch ``k`` is ``k * n + i``; for batch
+    ``k``'s draws from :func:`mixup_draws`, add ``k * n``).  Mixing is
+    elementwise, so each batch comes out as :func:`mixup_batch` mixes
+    it alone."""
+    lam = np.asarray(lam)[..., None]
+    # (K, n * d) rows: one long inner loop per batch, not n short ones.
+    x_rows = x.reshape(lam.shape[:-1] + (-1,))
+    x_partners = x.reshape(partners.size, -1).take(partners, axis=0).reshape(x_rows.shape)
+    x_mixed = lam * x_rows + (1 - lam) * x_partners
+    y_mixed = lam * y + (1 - lam) * y.take(partners)
+    return x_mixed.reshape(x.shape), y_mixed

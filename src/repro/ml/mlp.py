@@ -9,11 +9,14 @@ matmuls — both live here.
 
 All weights and biases are views into one contiguous float64 buffer,
 ``MLP.flat``, laid out ``w0, b0, w1, b1, ...`` (the order of
-:meth:`MLP.get_parameters`).  The trainer steps Adam once over that
-buffer instead of once per array, and :meth:`MLP.backprop_into` writes
-the gradients into the same views of a second buffer.  Every update is
-elementwise, so the per-element arithmetic — and every trained bit — is
-the same as stepping each array on its own.
+:meth:`MLP.get_parameters`).  :meth:`MLP.parameter_views` cuts the same
+views out of any buffer ending in that layout, so a ``(K, P)`` stack of
+K models' parameters yields ``(K, n_in, n_out)`` weight views.
+:func:`forward_layers` and :func:`backprop_layers` take either form: on
+a stack, every ``@`` is a batched ``np.matmul`` that runs the same BLAS
+call per model as the single-model product, and every other step is
+elementwise or a per-model reduction of the same length, so each
+model's bits are those of running it alone.
 """
 
 from __future__ import annotations
@@ -54,16 +57,20 @@ class MLP:
     def parameter_views(
         self, buffer: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer weight and bias views into a flat buffer shaped like
-        :attr:`flat` (layout ``w0, b0, w1, b1, ...``)."""
-        if buffer.shape != self.flat.shape:
+        """Per-layer weight and bias views into a buffer shaped like
+        :attr:`flat` (layout ``w0, b0, w1, b1, ...``), or a stack of such
+        buffers ``(..., P)``, whose views gain the same leading axes."""
+        if buffer.shape[-1:] != self.flat.shape:
             raise TrainingError("parameter buffer shape mismatch")
+        lead = buffer.shape[:-1]
         weights, biases = [], []
         offset = 0
         for n_in, n_out in self._shapes():
-            weights.append(buffer[offset : offset + n_in * n_out].reshape(n_in, n_out))
+            weights.append(
+                buffer[..., offset : offset + n_in * n_out].reshape(lead + (n_in, n_out))
+            )
             offset += n_in * n_out
-            biases.append(buffer[offset : offset + n_out])
+            biases.append(buffer[..., offset : offset + n_out])
             offset += n_out
         return weights, biases
 
@@ -80,13 +87,7 @@ class MLP:
             raise TrainingError(
                 f"expected (n, {self.layer_sizes[0]}) input, got {h.shape}"
             )
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            h += b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
-        return h[:, 0]
+        return forward_layers(self.weights, self.biases, h)[1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Sigmoid probabilities for a batch."""
@@ -95,21 +96,8 @@ class MLP:
     # -- training support ----------------------------------------------------
 
     def forward_cached(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Forward pass retaining pre-activation inputs for backprop.
-
-        Returns ``(layer_inputs, logits)`` where ``layer_inputs[i]`` is the
-        input fed to layer ``i``.
-        """
-        h = np.asarray(x, dtype=np.float64)
-        inputs = []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            inputs.append(h)
-            h = h @ w
-            h += b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
-        return inputs, h[:, 0]
+        """Forward pass retaining each layer's input for backprop."""
+        return forward_layers(self.weights, self.biases, np.asarray(x, dtype=np.float64))
 
     def backprop(
         self,
@@ -118,28 +106,8 @@ class MLP:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Gradients of all weights/biases given dLoss/dLogits."""
         grad_w, grad_b = self.parameter_views(np.empty_like(self.flat))
-        self.backprop_into(layer_inputs, dlogits, grad_w, grad_b)
+        backprop_layers(self.weights, layer_inputs, dlogits, grad_w, grad_b)
         return grad_w, grad_b
-
-    def backprop_into(
-        self,
-        layer_inputs: list[np.ndarray],
-        dlogits: np.ndarray,
-        grad_w: list[np.ndarray],
-        grad_b: list[np.ndarray],
-    ) -> None:
-        """:meth:`backprop` writing into preallocated gradient arrays
-        (views of one flat buffer, from :meth:`parameter_views`)."""
-        delta = dlogits[:, None]  # (n, 1)
-        for i in range(len(self.weights) - 1, -1, -1):
-            x_in = layer_inputs[i]
-            np.matmul(x_in.T, delta, out=grad_w[i])
-            np.add.reduce(delta, axis=0, out=grad_b[i])
-            if i > 0:
-                delta = delta @ self.weights[i].T
-                # ReLU derivative: the layer-(i) input is the ReLU output
-                # of layer i-1, so its positive entries mark active units.
-                delta *= x_in > 0.0
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -191,6 +159,49 @@ class MLP:
         return fused
 
 
+def forward_layers(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Forward pass of one model (``x`` is ``(n, d_in)``) or of a stack
+    (``x`` is ``(K, n, d_in)``, views from a ``(K, P)`` buffer).
+
+    Returns ``(layer_inputs, logits)``: ``layer_inputs[i]`` is the input
+    fed to layer ``i`` and the logits are ``(n,)`` or ``(K, n)``.
+    """
+    h = x
+    inputs = []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = h @ w
+        h += b[..., None, :]
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+    return inputs, h[..., 0]
+
+
+def backprop_layers(
+    weights: list[np.ndarray],
+    layer_inputs: list[np.ndarray],
+    dlogits: np.ndarray,
+    grad_w: list[np.ndarray],
+    grad_b: list[np.ndarray],
+) -> None:
+    """Backprop of :func:`forward_layers`, one model or a stack, writing
+    the gradients into preallocated views (from
+    :meth:`MLP.parameter_views` of a gradient buffer)."""
+    delta = dlogits[..., None]  # (..., n, 1)
+    for i in range(len(weights) - 1, -1, -1):
+        x_in = layer_inputs[i]
+        np.matmul(x_in.swapaxes(-1, -2), delta, out=grad_w[i])
+        np.add.reduce(delta, axis=-2, out=grad_b[i])
+        if i > 0:
+            delta = delta @ weights[i].swapaxes(-1, -2)
+            # ReLU derivative: the layer-(i) input is the ReLU output
+            # of layer i-1, so its positive entries mark active units.
+            delta *= x_in > 0.0
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, without boolean masks.
 
@@ -201,4 +212,5 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     NaN's sign bit, which the masked form passes through unchanged.
     """
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)

@@ -65,7 +65,6 @@ import time
 from dataclasses import dataclass
 
 from .. import obs
-from ..aig.io_bench import from_text
 from ..errors import ReproError
 from ..opt.registry import default_registry
 from .pool import script_requirements
@@ -383,7 +382,9 @@ class OptimizeService:
         result could be worse than what the budget buys, and a tuned
         result's content depends on the wall clock.  Budget expiry comes
         back as a normal ``ok`` response holding the best committed
-        result; only a real flow failure is a typed error.
+        result; only a real flow failure is a typed error.  The front
+        never parses the text: the shard does, so a malformed netlist
+        comes back as the shard's ``flow_error``.
         """
         if self._pending >= self.config.max_pending:
             obs.counter("serve_rejected_total").add(1)
@@ -397,7 +398,6 @@ class OptimizeService:
             }
         self._pending += 1
         try:
-            g = from_text(bench, name=name)
             payload = await self._run_sharded(
                 name, bench, None, quality_budget_s=budget_s
             )
@@ -414,8 +414,8 @@ class OptimizeService:
                 "bench": payload.get("bench_text"),
                 "n_ands": payload.get("n_ands", 0),
                 "level": payload.get("level", 0),
-                "n_ands_before": payload.get("n_ands_before", g.n_ands),
-                "level_before": payload.get("level_before", 0),
+                "n_ands_before": payload["n_ands_before"],
+                "level_before": payload["level_before"],
                 "deadline_exceeded": payload["deadline_exceeded"],
                 "tuned_script": payload.get("tuned_script", ""),
                 "quality_budget_s": budget_s,

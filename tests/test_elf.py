@@ -81,6 +81,31 @@ class TestOperator:
         assert elf_stats.pruned == 0
         assert elf_stats.commits == base_stats.commits
 
+    def test_keep_all_collects_what_refactor_collects(self):
+        # Every elfbench circuit: with nothing pruned, ELF must record each
+        # survivor with the cut formed before resynthesis, as refactor()
+        # does, not with the cut of a node a commit has just deleted.
+        from elfbench import workloads
+
+        from repro.opt import refactor
+
+        suite = {**workloads.flow_suite("arith"), **workloads.flow_suite("industrial")}
+        assert len(suite) == 16
+        committed = 0
+        for name, g in suite.items():
+            baseline, pruned = g.clone(), g.clone()
+            want, got = [], []
+            refactor(baseline, collector=lambda f, c: want.append((f.as_tuple(), c)))
+            elf_refactor(
+                pruned,
+                constant_classifier(True),
+                collector=lambda f, c: got.append((f.as_tuple(), c)),
+            )
+            assert pruned.structural_digest() == baseline.structural_digest(), name
+            assert got == want, name
+            committed += sum(c for _, c in got)
+        assert committed > 0
+
     def test_prune_all_does_nothing_fast(self):
         g = random_aig(7, 150, 4, seed=11)
         before = g.n_ands

@@ -94,7 +94,7 @@ def test_classifier_cache_keys_on_training_settings(monkeypatch):
     from repro.ml.train import TrainConfig
 
     calls = []
-    real_loo, real_pooled = experiments.train_leave_one_out, experiments.train_pooled
+    real_loo, real_pooled = experiments.train_leave_one_out_family, experiments.train_pooled
 
     def counting_loo(*args):
         calls.append("loo")
@@ -104,7 +104,7 @@ def test_classifier_cache_keys_on_training_settings(monkeypatch):
         calls.append("global")
         return real_pooled(*args)
 
-    monkeypatch.setattr(experiments, "train_leave_one_out", counting_loo)
+    monkeypatch.setattr(experiments, "train_leave_one_out_family", counting_loo)
     monkeypatch.setattr(experiments, "train_pooled", counting_pooled)
     from repro.circuits import arith
 
@@ -116,11 +116,11 @@ def test_classifier_cache_keys_on_training_settings(monkeypatch):
 
     first = experiments.loo_classifiers(datasets, "probe", *loose)
     second = experiments.loo_classifiers(datasets, "probe", *strict)
-    assert len(calls) == 2 * len(datasets)  # the second settings trained anew
+    assert calls == ["loo", "loo"]  # one family per settings; the second trained anew
     for name in datasets:
         assert first[name].threshold != second[name].threshold
     again = experiments.loo_classifiers(datasets, "probe", *loose)
-    assert len(calls) == 2 * len(datasets)  # same settings: served from disk
+    assert calls == ["loo", "loo"]  # same settings: served from disk
     assert [c.threshold for c in again.values()] == [
         c.threshold for c in first.values()
     ]

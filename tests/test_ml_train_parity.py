@@ -1,14 +1,18 @@
-"""Byte-identity gate for the flat-buffer training step.
+"""Byte-identity gate for the stacked training step.
 
-``repro.ml.train.train_classifier`` keeps the MLP's parameters in one
-flat buffer, steps Adam once over it, draws each epoch's batches in one
-call and uses a mask-free sigmoid.  Each of those is claimed to give the
-same bits as the per-array loop it replaced.  That loop is embedded
-below as the oracle — per-array Xavier init and backprop, Adam stepping
-every array on its own, one ``Generator.choice(p=...)`` call per batch
-drawn lazily, a loop that breaks only after drawing the batch past the
-cap, and the boolean-mask sigmoid — and every trained array, the
-history and the chosen epoch must match it exactly.
+``repro.ml.train.train_classifiers`` trains K models in lockstep: their
+parameters are the rows of one ``(K, P)`` buffer, forward and backprop
+are batched matmuls, one Adam update covers the models that still have
+a batch, each epoch's batches come from one draw, and the sigmoid is
+mask-free.  ``train_classifier`` is its K=1 case.  Each of those is
+claimed to give every model the bits of the per-array loop that trained
+one model at a time.  That loop is embedded below as the oracle —
+per-array Xavier init and backprop, Adam stepping every array on its
+own, one ``Generator.choice(p=...)`` call per batch drawn lazily, a loop
+that breaks only after drawing the batch past the cap, the allocating
+mixup and the boolean-mask sigmoid — and every model's trained arrays,
+stats, history and chosen epoch, and every leave-one-out threshold, must
+match it exactly.
 """
 
 from __future__ import annotations
@@ -18,11 +22,18 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.elf import collect_dataset, train_leave_one_out
+from repro.elf import collect_dataset, train_leave_one_out, train_pooled
 from repro.elf import pipeline
-from repro.ml import MLP, CutDataset, TrainConfig, TrainResult, train_classifier
+from repro.ml import (
+    MLP,
+    CutDataset,
+    TrainConfig,
+    TrainResult,
+    train_classifier,
+    train_classifiers,
+)
+from repro.ml import train as train_module
 from repro.ml.losses import class_balanced_weights
-from repro.ml.mixup import mixup_batch
 from repro.ml.mlp import sigmoid
 from repro.ml.optim import Adam
 from repro.ml.sampler import WeightedRandomSampler
@@ -63,6 +74,15 @@ def _focal(logits, targets, gamma=2.0, alpha=0.75):
         -gamma * (1 - pt) ** (gamma - 1) * log_pt + (1 - pt) ** gamma / np.clip(pt, eps, 1.0)
     )
     return float(per_sample.mean()), dloss_dpt * dpt_dz / logits.size
+
+
+def _mixup(x, y, alpha, rng):
+    if alpha <= 0 or x.shape[0] < 2:
+        return x, y
+    lam = float(rng.beta(alpha, alpha))
+    lam = max(lam, 1.0 - lam)
+    perm = rng.permutation(x.shape[0])
+    return lam * x + (1 - lam) * x[perm], lam * y + (1 - lam) * y[perm]
 
 
 def _adam_step(state, params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -150,7 +170,7 @@ def reference_train(dataset: CutDataset, config: TrainConfig) -> TrainResult:
         for batch_idx in _choice_batches(sampler_rng, y_train, config.batch_size):
             if n_batches >= config.max_batches_per_epoch:
                 break
-            xb, yb = mixup_batch(x_train[batch_idx], y_train[batch_idx], config.mixup_alpha, rng)
+            xb, yb = _mixup(x_train[batch_idx], y_train[batch_idx], config.mixup_alpha, rng)
             inputs, logits = _forward(weights, biases, xb)
             if config.loss == "focal":
                 loss, dlogits = _focal(logits, yb)
@@ -269,8 +289,9 @@ class TestGateHasTeeth:
 
     @staticmethod
     def _no_bias_correction(monkeypatch):
-        def step(self, grads):
+        def step(self, grads, rows=None):
             for p, g, m, v in zip(self.params, grads, self._m, self._v):
+                p, g, m, v = p[:rows], g[:rows], m[:rows], v[:rows]
                 m *= self.beta1
                 m += (1 - self.beta1) * g
                 v *= self.beta2
@@ -278,6 +299,23 @@ class TestGateHasTeeth:
                 p -= self.lr * m / (np.sqrt(v) + self.eps)
 
         monkeypatch.setattr(Adam, "step", step)
+
+    @staticmethod
+    def _shared_rng(monkeypatch):
+        # One generator for the whole family instead of one per model.
+        init, shared = train_module._Run.__init__, []
+
+        def one_generator(self, dataset, config, rng):
+            shared.append(rng)
+            init(self, dataset, config, shared[0])
+
+        monkeypatch.setattr(train_module._Run, "__init__", one_generator)
+
+    @staticmethod
+    def _steps_inactive_rows(monkeypatch):
+        # Adam steps every live row, also those with no batch this step.
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda self, grads, rows=None: step(self, grads))
 
     @pytest.mark.parametrize("mutant", ["_no_extra_draw", "_no_bias_correction"])
     def test_mutant_fails_the_gate(self, monkeypatch, mutant):
@@ -287,20 +325,132 @@ class TestGateHasTeeth:
         getattr(self, mutant)(monkeypatch)
         assert _mismatches(train_classifier(data, config), want) != []
 
+    @pytest.mark.parametrize("mutant", ["_shared_rng", "_steps_inactive_rows"])
+    def test_family_mutant_fails_the_gate(self, monkeypatch, mutant):
+        config = CONFIGS["bce-mixup0.2"]
+        family = _ragged_family()
+        want = [reference_train(d, config) for d in family]
+        assert [_mismatches(g, w) for g, w in zip(train_classifiers(family, config), want)] == [
+            []
+        ] * len(family)
+        getattr(self, mutant)(monkeypatch)
+        got = train_classifiers(family, config)
+        assert any(_mismatches(g, w) for g, w in zip(got, want))
+
+
+def _ragged_family() -> list[CutDataset]:
+    """Training rows 270 / 630 / 990: 4, 9 and 15 batches per epoch."""
+    return [_dataset(n=300, seed=11), _dataset(n=700, seed=3), _dataset(n=1100, seed=12)]
+
+
+class TestFamilyParity:
+    """K models in one lockstep loop, each against its own oracle run."""
+
+    # 9 and 15 batches per epoch meet a cap of 10: it binds for one model.
+    FAMILY_CONFIGS = dict(CONFIGS, **{"cap-binds": TrainConfig(epochs=5, max_batches_per_epoch=10, seed=2)})
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_CONFIGS))
+    def test_ragged_family_matches_per_model_loop(self, name):
+        config = self.FAMILY_CONFIGS[name]
+        family = _ragged_family()
+        got = train_classifiers(family, config)
+        assert [_mismatches(g, reference_train(d, config)) for g, d in zip(got, family)] == [
+            []
+        ] * len(family)
+        batches = [
+            min(int(len(d) * 0.9) // config.batch_size, config.max_batches_per_epoch)
+            for d in family
+        ]
+        assert len(set(batches)) == len(family)  # ragged: the prefix shrinks mid-epoch
+        if name == "early-stop":
+            stopped = [len(r.history) for r in got]
+            assert max(stopped) < config.epochs and len(set(stopped)) > 1
+        if name == "cap-binds":
+            assert any(len(d) * 0.9 // config.batch_size > config.max_batches_per_epoch for d in family)
+
+    def test_small_dataset_trains_in_its_own_group(self):
+        # 36 training rows make 36-row batches, which cannot stack with
+        # 64-row ones; the family still returns results in input order.
+        family = [_dataset(n=700, seed=3), _dataset(n=40, seed=5, positive_rate=0.2)]
+        config = CONFIGS["class_balanced-mixup0.2"]
+        got = train_classifiers(family, config)
+        assert [_mismatches(g, reference_train(d, config)) for g, d in zip(got, family)] == [[], []]
+
 
 class TestLeaveOneOutParity:
-    def test_thresholds_and_networks_identical(self, screen_circuits, monkeypatch):
-        datasets = {
-            name: collect_dataset(g, name=name) for name, g in screen_circuits.items()
-        }
+    @pytest.fixture(scope="class")
+    def datasets(self, screen_circuits):
+        return {name: collect_dataset(g, name=name) for name, g in screen_circuits.items()}
+
+    def test_thresholds_and_networks_identical(self, datasets, monkeypatch):
         config = TrainConfig(epochs=8, seed=0)
         got = {name: train_leave_one_out(datasets, name, config) for name in datasets}
-        monkeypatch.setattr(pipeline, "train_classifier", reference_train)
+        # The per-circuit path: standardize and train one pool at a time.
+        pooled = {
+            name: train_pooled([d for n, d in datasets.items() if n != name], config)
+            for name in datasets
+        }
+        monkeypatch.setattr(
+            pipeline,
+            "train_classifiers",
+            lambda pools, config: [reference_train(d, config) for d in pools],
+        )
+        monkeypatch.setattr(pipeline, "_FAMILY_MEMO", None)
         want = {name: train_leave_one_out(datasets, name, config) for name in datasets}
         for name in datasets:
-            assert got[name].threshold == want[name].threshold, name
-            for a, b in zip(got[name].model.get_parameters(), want[name].model.get_parameters()):
-                assert np.array_equal(a, b), name
+            for other in (want[name], pooled[name]):
+                assert got[name].threshold == other.threshold, name
+                for a, b in zip(got[name].model.get_parameters(), other.model.get_parameters()):
+                    assert np.array_equal(a, b), name
+                assert np.array_equal(got[name].fallback_mean, other.fallback_mean)
+                assert np.array_equal(got[name].fallback_std, other.fallback_std)
+
+    def test_memo_retrains_on_any_change(self, datasets, monkeypatch):
+        calls = []
+        family = pipeline.train_leave_one_out_family
+
+        def counting(*args):
+            calls.append(args)
+            return family(*args)
+
+        monkeypatch.setattr(pipeline, "train_leave_one_out_family", counting)
+        monkeypatch.setattr(pipeline, "_FAMILY_MEMO", None)
+        config = TrainConfig(epochs=2, seed=0)
+
+        def round_(data, cfg=config, recall=0.95):
+            return {name: train_leave_one_out(data, name, cfg, recall) for name in data}
+
+        first = round_(datasets)
+        assert len(calls) == 1  # one family serves every held-out circuit
+        assert len(round_(datasets)) and len(calls) == 1
+        changed = dict(datasets)
+        x = datasets["hyp"].x.copy()
+        x[0, 0] += 1.0
+        changed["hyp"] = CutDataset(x, datasets["hyp"].y, "hyp")
+        round_(changed)
+        assert len(calls) == 2
+        renamed = {("hyp2" if n == "hyp" else n): d for n, d in datasets.items()}
+        round_(renamed)
+        assert len(calls) == 3
+        round_(datasets, TrainConfig(epochs=2, seed=1))
+        assert len(calls) == 4
+        round_(datasets, config, 0.9)
+        assert len(calls) == 5
+        again = round_(datasets)
+        assert len(calls) == 6  # one slot: the previous round evicted it
+        for name in datasets:
+            assert again[name].threshold == first[name].threshold
+            assert np.array_equal(again[name].model.flat, first[name].model.flat)
+
+    def test_served_classifiers_are_copies(self, datasets, monkeypatch):
+        monkeypatch.setattr(pipeline, "_FAMILY_MEMO", None)
+        config = TrainConfig(epochs=2, seed=0)
+        a = train_leave_one_out(datasets, "div", config)
+        a.threshold = -1.0
+        a.model.flat[:] = 0.0
+        b = train_leave_one_out(datasets, "div", config)
+        assert b.threshold != -1.0 and b.model.flat.any()
+        assert all(np.shares_memory(w, b.model.flat) for w in b.model.get_parameters())
 
 
 class TestSigmoid:

@@ -291,6 +291,37 @@ class TestServeQualityBudget:
             assert r.ok, (r.name, r.error)  # expiry degrades, never errors
             assert equivalent(suite[r.name], r.graph), r.name
 
+    def test_malformed_tuned_request_is_the_shards_flow_error(self, monkeypatch):
+        # The front hands the text to a shard unparsed; the shard's parse
+        # failure comes back typed, like any other flow failure.
+        from repro.serve import proc, service as service_module
+
+        service = OptimizeService(ServiceConfig())
+        seen = []
+
+        async def shard(name, bench, script, quality_budget_s=None):
+            seen.append(bench)
+            return proc._run_one(
+                OptSession(), ServeParams(), name, bench, script, quality_budget_s
+            )
+
+        monkeypatch.setattr(service, "_run_sharded", shard)
+        assert not hasattr(service_module, "from_text")
+        g = random_aig(5, 30, 2, seed=1)
+        good = to_text(g)
+        for bench, ok in ((good, True), ("OUTPUT(z)\nz = AND(a\n", False)):
+            response = asyncio.run(
+                service._optimize_inner(
+                    {"op": "optimize", "name": "t", "bench": bench, "quality_budget_s": 0.05}
+                )
+            )
+            assert response["ok"] is ok, response
+            if ok:
+                assert response["n_ands_before"] == g.n_ands and response["tuned_script"]
+            else:
+                assert response["error"]["type"] == "flow_error"
+        assert len(seen) == 2
+
     def test_service_validates_quality_budget(self):
         service = OptimizeService(ServiceConfig())
         bench = to_text(random_aig(5, 30, 2, seed=1))

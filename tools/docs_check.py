@@ -6,7 +6,10 @@ Two checks, both cheap enough to run inside the default test target:
    ``src/repro/serve``, ``src/repro/obs`` and ``src/repro/resilience``
    — plus the individually listed hot-path and API-surface modules
    (simulation kernels; the rewrite, refactor and ELF operators, whose
-   docstrings carry their exactness arguments; and the flow layer:
+   docstrings carry their exactness arguments; the trainer and the
+   leave-one-out pipeline, whose docstrings say why the stacked step
+   keeps each model's bits and what the family memo guarantees; and the
+   flow layer:
    ``opt/flow.py``, ``opt/registry.py``, ``opt/session.py``, the
    ``python -m repro`` entry point) — must carry a non-trivial module
    docstring, so ``pydoc repro.engine`` /
@@ -58,6 +61,8 @@ DOCSTRING_TREES = (
 DOCSTRING_FILES = (
     "src/repro/aig/simulate.py",
     "src/repro/elf/operator.py",
+    "src/repro/elf/pipeline.py",
+    "src/repro/ml/train.py",
     "src/repro/opt/flow.py",
     "src/repro/opt/refactor.py",
     "src/repro/opt/registry.py",
