@@ -32,10 +32,11 @@ lint-timing:
 lint-faults:
 	$(PYTHON) tools/lint_faults.py
 
-# Resilience battery: deadlines, retry policy, classifier-round failures
-# and the deterministic fault-injection harness (shard-death recovery is
-# covered by tests/test_serve_service.py).  Individual faults can also
-# be forced by hand, e.g.
+# Resilience battery: error taxonomy, deadlines, retry policy,
+# classifier-round failures, the deterministic fault-injection harness
+# and its site lint (shard-death recovery is covered by
+# tests/test_serve_service.py).  Individual faults can also be forced by
+# hand, e.g.
 #   REPRO_FAULTS="classifier.fire=raise@1" PYTHONPATH=src python ...
 test-faults:
 	$(PYTHON) -m pytest tests/test_resilience.py -x -q

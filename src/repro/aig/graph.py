@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, NamedTuple
 from ..errors import AigError
 from .literal import (
     CONST0,
-    lit_is_compl,
     lit_node,
     lit_not,
     make_lit,

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from ..errors import AigerFormatError
 from .graph import AIG
-from .literal import lit_node
 
 
 def write_ascii(g: AIG, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ..errors import BenchFormatError
 from .graph import AIG
-from .literal import lit_node, lit_not
+from .literal import lit_not
 
 
 def to_text(g: AIG) -> str:

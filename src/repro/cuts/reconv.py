@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..aig.graph import AIG
-from ..aig.literal import lit_node
 from .features import CutFeatures
 
 DEFAULT_MAX_LEAVES = 10

@@ -23,15 +23,11 @@ the engine commands:
   are incrementally re-cut and re-waved via the graph's dirty journal
   and the candidate inverted index.  ``workers=1`` delegates to the
   sequential operator, bit for bit.
-* :class:`repro.engine.parallel.ResynthExecutor` (with its
-  shared-memory transport :mod:`repro.engine.pack`) is the resynthesis
-  worker pool; no command uses it, and it is slated for deletion.
 """
 
 from .cache import ResynthCache
 from .conflict import Candidate, CandidateIndex, build_conflict_graph, color_waves
 from .operators import RewriteWaveOp, WaveOperator
-from .parallel import ResynthExecutor, resynthesize_batch
 from .scheduler import (
     EngineParams,
     EngineStats,
@@ -47,7 +43,6 @@ __all__ = [
     "EngineParams",
     "EngineStats",
     "ResynthCache",
-    "ResynthExecutor",
     "RewriteEngineParams",
     "RewriteWaveOp",
     "WaveOperator",
@@ -55,6 +50,5 @@ __all__ = [
     "color_waves",
     "engine_refactor",
     "engine_rewrite",
-    "resynthesize_batch",
     "run_wave_pass",
 ]

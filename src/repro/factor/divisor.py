@@ -8,7 +8,6 @@ use the bitmask encoding of :mod:`repro.tt.sop`.
 from __future__ import annotations
 
 from ..tt.sop import (
-    cube_lits,
     sop_literal_frequencies,
     sop_make_cube_free,
 )

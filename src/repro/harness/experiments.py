@@ -27,7 +27,7 @@ from ..elf.operator import ElfParams
 from ..ml.dataset import CutDataset
 from ..ml.metrics import Confusion
 from ..ml.train import TrainConfig
-from ..opt.refactor import RefactorParams, refactor
+from ..opt.refactor import refactor
 from .cache import cached_classifier, cached_dataset
 
 DEFAULT_TRAIN_CONFIG = TrainConfig(epochs=30, patience=10, seed=0)

@@ -1,7 +1,7 @@
 """``repro.obs`` — unified tracing + metrics for every layer of repro.
 
 One lightweight, dependency-free observability spine shared by the wave
-engine, the flow/session layer, the resynthesis pool and the serve tier:
+engine, the flow/session layer and the serve tier:
 
 * **Spans** (:func:`span`) — hierarchical timed regions on
   ``time.perf_counter`` with structured attributes.  The scheduler emits
@@ -11,10 +11,9 @@ engine, the flow/session layer, the resynthesis pool and the serve tier:
   measures its duration (the stats fields the code always filled keep
   their exact semantics) but records nothing.
 * **Metrics** (:func:`metrics`) — an always-on registry of counters /
-  gauges / histograms (:mod:`repro.obs.metrics`).  Resynthesis-pool
-  workers ship per-chunk deltas home as serialized snapshots piggybacked
-  on task results (:func:`merge_worker_snapshot`) — no extra IPC
-  round-trips, and an errored chunk loses only its own delta.
+  gauges / histograms (:mod:`repro.obs.metrics`).  A registry
+  serializes to a :meth:`MetricsRegistry.snapshot` that another
+  registry folds in with :meth:`MetricsRegistry.merge`.
 * **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
   (load a flow in ``chrome://tracing`` / Perfetto and read waves off a
   timeline), Prometheus text format, and round-trippable JSONL; the
@@ -111,11 +110,6 @@ def next_label(prefix: str) -> str:
     return f"{prefix}{next(_sequence)}"
 
 
-def merge_worker_snapshot(snapshot: dict | None) -> None:
-    """Fold one worker chunk's serialized metrics delta into the registry."""
-    _registry.merge(snapshot)
-
-
 def reset() -> None:
     """Clear recorded spans and every metric series (tests/benchmarks)."""
     _tracer.clear()
@@ -153,7 +147,6 @@ __all__ = [
     "gauge",
     "histogram",
     "jsonl_records",
-    "merge_worker_snapshot",
     "metrics",
     "next_label",
     "parse_prometheus",

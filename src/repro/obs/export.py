@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 
-from .core import Span, Tracer
+from .core import Tracer
 from .metrics import MetricsRegistry, _series_key
 
 

@@ -50,7 +50,7 @@ Either way the cut fails exactly as it would have (see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
 from ..aig.graph import AIG

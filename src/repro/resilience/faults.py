@@ -3,20 +3,13 @@
 Recovery code is only trustworthy if every path runs in CI, and process
 crashes cannot be provoked reliably from the outside (a SIGKILL from the
 parent races the victim's work pickup, especially on one core).  So the
-resynthesis pool and the serve tier consult this registry at **named
-sites**, and an installed :class:`FaultPlan` decides — deterministically,
-by arrival count and context match — whether that arrival raises, kills
-a process, or stalls:
+serve tier consults this registry at **named sites**, and an installed
+:class:`FaultPlan` decides — deterministically, by arrival count and
+context match — whether that arrival raises, kills a process, or stalls:
 
 ========================  ====================================================
 site                      consulted
 ========================  ====================================================
-``worker.start``          in the parent, before the resynthesis pool forks
-``worker.chunk``          inside a pool worker, before evaluating one chunk
-                          (context: ``chunk`` = absolute chunk index)
-``chunk.result``          in the parent, before each chunk-result wait
-                          (context: ``chunk``, ``pids`` of the pool)
-``shm.create``            before allocating a wave shared-memory segment
 ``classifier.fire``       before a fused classifier round dispatches
                           (context: ``round``)
 ``shard.circuit``         inside a serve shard process, before running one
@@ -27,9 +20,9 @@ site                      consulted
 ``fire("...")`` call under ``src/repro`` names a site missing from it.
 
 Actions: ``raise`` (an :class:`InjectedFault`, a
-:class:`repro.errors.RetryableError`), ``kill`` (SIGKILL — the context's
-``pid``, or ``pids[value]``), ``delay`` (sleep ``value`` seconds, the
-hung-process simulation).  Triggering is exact: ``hits`` selects 1-based
+:class:`repro.errors.RetryableError`), ``kill`` (SIGKILL the context's
+``pid``), ``delay`` (sleep ``value`` seconds, the hung-process
+simulation).  Triggering is exact: ``hits`` selects 1-based
 arrival numbers at the site, ``match`` pins a context key (so
 ``shard.circuit`` faults can target one circuit and *only* that
 circuit, which is what makes killed-shard tests reproducible on any
@@ -39,7 +32,7 @@ the installed plan and count their own arrivals.
 Inactive injection is one ``None`` check per site — cheap enough to stay
 compiled in.  Plans install programmatically (:func:`install`,
 :func:`injected`) or from the ``REPRO_FAULTS`` environment variable,
-e.g. ``REPRO_FAULTS="worker.chunk=kill#chunk=0;shm.create=raise@1"``.
+e.g. ``REPRO_FAULTS="shard.circuit=kill#circuit=c2;classifier.fire=raise@1"``.
 Every triggered fault is counted: ``faults_injected_total{site,action}``.
 """
 
@@ -61,11 +54,6 @@ ENV_VAR = "REPRO_FAULTS"
 SITES = frozenset({
     "classifier.fire",
     "shard.circuit",
-    # Consulted only by the unused resynthesis pool; deleted with it.
-    "worker.start",
-    "worker.chunk",
-    "chunk.result",
-    "shm.create",
 })
 """Every site the program consults (the docstring table, in code)."""
 
@@ -88,8 +76,7 @@ class FaultSpec:
     ``hits`` are 1-based arrival numbers at ``site`` that trigger (empty
     = every arrival); ``match`` further requires ``ctx[key] == value``
     (compared as strings, so specs stay env-encodable); ``value`` is the
-    action parameter — delay seconds, or the pool-pid index for ``kill``
-    when the context carries ``pids`` rather than a single ``pid``.
+    action parameter — the delay in seconds.
     """
 
     site: str
@@ -160,20 +147,15 @@ class FaultPlan:
             if spec.action == "delay":
                 time.sleep(spec.value)
             elif spec.action == "kill":
-                _kill(spec, ctx, site)
+                _kill(ctx, site)
             else:
                 raise InjectedFault(f"injected fault at {site} (hit {hit})")
 
 
-def _kill(spec: FaultSpec, ctx: dict, site: str) -> None:
-    if "pid" in ctx:
-        pid = int(ctx["pid"])
-    elif ctx.get("pids"):
-        pids = list(ctx["pids"])
-        pid = int(pids[int(spec.value) % len(pids)])
-    else:
-        raise ReproError(f"kill fault at {site} needs a pid/pids context")
-    os.kill(pid, signal.SIGKILL)
+def _kill(ctx: dict, site: str) -> None:
+    if "pid" not in ctx:
+        raise ReproError(f"kill fault at {site} needs a pid context")
+    os.kill(int(ctx["pid"]), signal.SIGKILL)
 
 
 _active: FaultPlan | None = None

@@ -1,31 +1,23 @@
-"""Recovery policy: retry budgets, backoff and the degradation ladder.
+"""Recovery policy: retry budgets, backoff and the counted decisions.
 
 One small, dependency-free decision module so every layer recovers the
 same way.  Failures are classified by the :mod:`repro.errors` taxonomy
 (``RetryableError`` vs ``FatalError``); *how many times* and *how hard*
-to retry is a :class:`RetryPolicy`.  Two supervisors consume it: the
-serving tier's shard supervisor (:mod:`repro.serve.proc`) respawns a
-dead shard within the budget, then runs the shard's unfinished circuits
-in-process; the resynthesis pool (:mod:`repro.engine.parallel`) respawns
-its workers, and *what it falls back to* is the degradation ladder::
+to retry is a :class:`RetryPolicy`.  The serving tier's shard supervisor
+(:mod:`repro.serve.proc`) consumes it: it respawns a dead shard within
+the budget, then runs the shard's unfinished circuits in-process.
 
-    shm  ->  pickle  ->  sequential
-
-Each rung trades throughput for robustness: shared-memory wave segments
-are the fast path, pickled chunk messages survive ``/dev/shm``
-exhaustion and mapping faults, and in-process sequential execution —
-bit-identical to the pooled path by construction — is the floor
-that can only fail if the computation itself is broken.
+:data:`DEGRADATION_LADDER` (``shm -> pickle -> sequential``) and
+:func:`next_rung` are the transport ladder of the deleted resynthesis
+pool; nothing consumes them any more.
 
 Every decision is counted on the :mod:`repro.obs` registry so recovery
 is visible in any Prometheus/JSONL export:
 
-* ``engine_worker_deaths_total`` — pool workers or shard processes
-  found dead (SIGKILL/OOM);
-* ``engine_worker_hangs_total`` — chunks that blew their per-chunk
-  deadline with the worker still alive;
-* ``engine_retries_total`` — pool or shard respawn rounds;
-* ``engine_degradations_total{to=...}`` — ladder steps taken
+* ``engine_worker_deaths_total`` — shard processes found dead
+  (SIGKILL/OOM);
+* ``engine_retries_total`` — shard respawn rounds;
+* ``engine_degradations_total{to=...}`` — fallbacks taken
   (``to="in-process"`` for a shard given up on);
 * ``serve_deadline_exceeded_total`` / ``engine_deadline_exceeded_total``
   — budgets that expired (recorded where they were observed).
@@ -84,24 +76,18 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 def record_worker_death(n: int = 1) -> None:
-    """Account ``n`` pool workers found dead during recovery."""
+    """Account ``n`` processes found dead during recovery."""
     if n > 0:
         obs.counter("engine_worker_deaths_total").add(n)
 
 
-def record_worker_hang(n: int = 1) -> None:
-    """Account ``n`` chunks lost to a hung (still-alive) worker."""
-    if n > 0:
-        obs.counter("engine_worker_hangs_total").add(n)
-
-
 def record_retry() -> None:
-    """Account one pool respawn + re-dispatch round."""
+    """Account one respawn + re-dispatch round."""
     obs.counter("engine_retries_total").add(1)
 
 
 def record_degradation(to: str) -> None:
-    """Account one ladder step (``to`` is the rung landed on)."""
+    """Account one fallback step (``to`` is the level landed on)."""
     obs.counter("engine_degradations_total", to=to).add(1)
 
 

@@ -50,7 +50,7 @@ from ..resilience import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy, policy
 from ..resilience.faults import active as faults_active
 from ..resilience.faults import fire, install
 from ..tune import RecipeBook, TuneParams, tune
-from .shard import ShardPlan, assign_shards
+from .shard import assign_shards
 from .store import CachedResult, ResultStore
 from .stream import ServeParams, ServeReport, ServeResult
 

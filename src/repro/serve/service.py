@@ -68,7 +68,7 @@ from .. import obs
 from ..errors import ReproError
 from ..opt.registry import default_registry
 from .pool import script_requirements
-from .proc import ShardHost, ShardSupervisor, _run_one
+from .proc import ShardHost, ShardSupervisor
 from .store import CachedResult, ResultStore
 from .stream import ServeParams
 

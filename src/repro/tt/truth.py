@@ -13,8 +13,7 @@ Two representations coexist:
   operation keeps this form.
 * **Packed**: a batch of tables as a ``(n_tables, n_words)`` uint64
   array, bit ``i`` of table ``t`` at ``words[t, i >> 6] >> (i & 63)``.
-  This is the wire format of the engine's shared-memory wave transport
-  (:mod:`repro.engine.pack`); ``tests/test_kernel_parity.py`` pins its
+  No program code uses it; ``tests/test_kernel_parity.py`` pins its
   round trips against the scalar form.
 """
 

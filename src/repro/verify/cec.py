@@ -16,7 +16,7 @@ import numpy as np
 
 from ..aig.graph import AIG
 from ..aig.literal import lit_node
-from ..aig.simulate import cone_truth, full_mask, simulate, var_mask
+from ..aig.simulate import cone_truth, full_mask, simulate
 from ..errors import ReproError
 from .cnf import CnfMapping, encode
 from .sat import Solver

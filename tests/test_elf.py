@@ -15,7 +15,7 @@ from repro.elf import (
     train_leave_one_out,
 )
 from repro.errors import TrainingError
-from repro.ml import MLP, CutDataset, TrainConfig, train_classifier
+from repro.ml import MLP, CutDataset, TrainConfig
 from repro.verify import equivalent
 
 from .util import random_aig

@@ -4,9 +4,7 @@
 sequential operators at every width; ``prw``
 (:func:`repro.engine.engine_rewrite`) runs the conflict-wave scheduler,
 whose conflict planning and incremental re-snapshot are tested here on
-arithmetic circuits whose outputs are not constant.  The resynthesis
-pool (:class:`repro.engine.ResynthExecutor`) is unused and slated for
-deletion; its tests stay until it goes.
+arithmetic circuits whose outputs are not constant.
 """
 
 import pytest
@@ -20,13 +18,11 @@ from repro.engine import (
     Candidate,
     EngineParams,
     EngineStats,
-    ResynthExecutor,
     RewriteEngineParams,
     build_conflict_graph,
     color_waves,
     engine_refactor,
     engine_rewrite,
-    resynthesize_batch,
 )
 from repro.errors import ReproError
 from repro.ml import MLP
@@ -62,16 +58,6 @@ def snapshot_candidates(g, max_leaves=10):
             )
         )
     return candidates
-
-
-def cut_tasks(g, limit=None):
-    """``(truth table, leaf count)`` of every snapshot candidate's cut."""
-    from repro.aig.simulate import cone_truth
-
-    return [
-        (cone_truth(g, c.node, list(c.leaves)), len(c.leaves))
-        for c in snapshot_candidates(g)[:limit]
-    ]
 
 
 def rewrite_waves(g, workers=2):
@@ -217,127 +203,6 @@ class TestWaveEngine:
         assert stats.workers == 4
         assert to_text(engine) == to_text(sequential)
         assert equivalent(g, engine)
-
-
-class TestParallelExecutor:
-    def test_pool_matches_in_process(self):
-        tasks = cut_tasks(divider(5), limit=40)
-        params = RefactorParams()
-        inline = resynthesize_batch(tasks, params)
-        with ResynthExecutor(2, params) as executor:
-            pooled = executor.run(tasks)
-        assert pooled == inline
-
-    def test_empty_and_single_worker(self):
-        params = RefactorParams()
-        with ResynthExecutor(1, params) as executor:
-            assert executor.in_process
-            assert executor.run([]) == []
-            assert executor.run([(0b1000, 2)]) == resynthesize_batch(
-                [(0b1000, 2)], params
-            )
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ReproError, match="transport"):
-            ResynthExecutor(2, RefactorParams(), transport="carrier-pigeon")
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Force ``will_pool`` past the executor's single-core guard."""
-    import repro.engine.parallel as parallel
-
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-
-
-class TestSharedMemoryTransport:
-    """The packed-wave shm transport: bit-identical, leak-free, crash-safe."""
-
-    def test_transports_are_bench_identical_and_leak_free(self, two_cores):
-        from repro import obs
-        from repro.engine.pack import leaked_segments
-
-        obs.reset()
-        before = leaked_segments()
-        tasks = cut_tasks(divider(5))
-        params = RefactorParams()
-        results = {}
-        for transport in ("shm", "pickle"):
-            with ResynthExecutor(2, params, transport=transport) as executor:
-                assert executor.will_pool(len(tasks))
-                results[transport] = executor.run(tasks)
-        assert results["shm"] == results["pickle"] == resynthesize_batch(tasks, params)
-        reg = obs.metrics()
-        created = reg.value("engine_shm_segments_created_total")
-        assert created > 0
-        assert created == reg.value("engine_shm_segments_unlinked_total")
-        # Descriptor messages are a fraction of the pickled task lists
-        # even on this small circuit (a full 10-leaf wave reduces
-        # further; test_single_wave_bytes_reduction pins that).
-        shm_bytes = reg.value("engine_task_bytes_total", transport="shm")
-        pickle_bytes = reg.value("engine_task_bytes_total", transport="pickle")
-        assert shm_bytes < 0.5 * pickle_bytes
-        assert leaked_segments() == before
-
-    def test_single_wave_bytes_reduction(self, two_cores):
-        """One realistic wave ships >= 80% fewer serialized bytes on shm."""
-        import random
-
-        from repro import obs
-        from repro.aig.simulate import full_mask
-
-        obs.reset()
-        rng = random.Random(13)
-        tasks = [(rng.getrandbits(1 << 10) & full_mask(10), 10) for _ in range(200)]
-        params = RefactorParams()
-        results = {}
-        for transport in ("shm", "pickle"):
-            with ResynthExecutor(2, params, transport=transport) as executor:
-                assert executor.will_pool(len(tasks))
-                results[transport] = executor.run(tasks)
-        assert results["shm"] == results["pickle"]
-        reg = obs.metrics()
-        shm_bytes = reg.value("engine_task_bytes_total", transport="shm")
-        pickle_bytes = reg.value("engine_task_bytes_total", transport="pickle")
-        assert shm_bytes <= 0.2 * pickle_bytes, (shm_bytes, pickle_bytes)
-
-    def test_worker_crash_leaves_no_segments(self, two_cores, monkeypatch):
-        import os as _os
-
-        from repro import obs
-        import repro.engine.parallel as parallel
-        from repro.engine.pack import leaked_segments
-
-        obs.reset()
-        obs.configure(enabled=True)
-        try:
-            before = leaked_segments()
-            parent_pid = _os.getpid()
-            real = parallel.resynthesize_batch
-            g = divider(5)
-            tasks = cut_tasks(g)
-            params = RefactorParams()
-            inline = real(tasks, params)
-
-            def flaky(batch, batch_params):
-                # Dies only inside worker processes; the parent's
-                # chunk-level recompute (same body) succeeds.
-                if _os.getpid() != parent_pid:
-                    raise RuntimeError("injected worker crash")
-                return real(batch, batch_params)
-
-            # Patch before the pool forks so workers inherit the crash.
-            monkeypatch.setattr(parallel, "resynthesize_batch", flaky)
-            with ResynthExecutor(2, params, transport="shm") as executor:
-                assert executor.run(tasks) == inline
-            reg = obs.metrics()
-            assert reg.value("engine_worker_chunks_failed_total") > 0
-            created = reg.value("engine_shm_segments_created_total")
-            assert created > 0
-            assert created == reg.value("engine_shm_segments_unlinked_total")
-            assert leaked_segments() == before
-        finally:
-            obs.configure(enabled=False)
 
 
 class TestFlowCommands:

@@ -2,11 +2,10 @@
 
 The truth-table hot loops (ISOP core, NPN canonizer,
 ``expand_tt``, the batched cone-truth kernel) and the packed word-array
-representation the resynthesis pool's shared-memory transport ships
-each claim bit-identity with the straightforward formulation they
-replaced; this module pins every claim
-against an embedded or retained scalar reference over hundreds of random
-tables and cut shapes, plus the degenerate corners (constants,
+representation of :mod:`repro.tt.truth` each claim bit-identity with
+the straightforward formulation they replaced; this module pins every
+claim against an embedded or retained scalar reference over hundreds of
+random tables and cut shapes, plus the degenerate corners (constants,
 single-leaf cuts, duplicate leaves) where index arithmetic likes to go
 wrong.
 """
@@ -20,8 +19,7 @@ import pytest
 from repro.aig import AIG, cone_truth, full_mask, var_mask
 from repro.aig.simulate import batch_cone_truths
 from repro.cuts.reconv import reconv_cut
-from repro.errors import ReproError, TruthTableError
-from repro.engine.pack import PackedTasks, WaveSegment, leaked_segments
+from repro.errors import TruthTableError
 from repro.tt import isop, isop_exact, npn_canonize, sop_tt
 from repro.factor import factoring
 from repro.factor.factoring import clear_factor_memo, factor, verify_factoring
@@ -298,59 +296,3 @@ class TestBatchConeParity:
         bad = [(node, (node + 1000,), frozenset({node}))]
         with pytest.raises(TruthTableError):
             batch_cone_truths(g, bad)
-
-
-# ----------------------------------------------------------------------
-# Wave payloads: pack -> shared-memory segment -> rebuild, bit-exact
-# ----------------------------------------------------------------------
-
-
-class TestWavePayloads:
-    def test_packed_tasks_round_trip_mixed_widths(self):
-        rng = random.Random(79)
-        tasks = [(0, 1), (full_mask(4), 4)]  # constants ride along
-        tasks += [
-            (rng.getrandbits(1 << n) & full_mask(n), n)
-            for n in (rng.randint(1, 10) for _ in range(300))
-        ]
-        packed = PackedTasks.pack(tasks)
-        assert packed.n_tasks == len(tasks)
-        assert packed.tasks() == tasks
-        # Range slicing rebuilds exactly the requested window.
-        assert packed.tasks(5, 12) == tasks[5:12]
-
-    def test_empty_wave(self):
-        packed = PackedTasks.pack([])
-        assert packed.n_tasks == 0
-        assert packed.tasks() == []
-
-    def test_segment_round_trip_and_lifecycle(self):
-        before = leaked_segments()
-        rng = random.Random(80)
-        tasks = [
-            (rng.getrandbits(1 << n) & full_mask(n), n)
-            for n in (rng.randint(1, 8) for _ in range(120))
-        ]
-        segment = WaveSegment.create(PackedTasks.pack(tasks))
-        try:
-            attached = WaveSegment.attach(segment.descriptor())
-            try:
-                assert attached.packed().tasks() == tasks
-                with pytest.raises(ReproError):
-                    attached.unlink()  # only the creator may unlink
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-        assert leaked_segments() == before
-
-    def test_single_task_segment(self):
-        before = leaked_segments()
-        segment = WaveSegment.create(PackedTasks.pack([(1, 1)]))
-        try:
-            assert segment.packed().tasks() == [(1, 1)]
-        finally:
-            segment.close()
-            segment.unlink()
-        assert leaked_segments() == before
