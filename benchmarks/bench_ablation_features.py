@@ -9,7 +9,6 @@ from repro.cuts import FEATURE_NAMES
 from repro.harness import format_table, write_report
 from repro.ml import (
     CutDataset,
-    MLP,
     TrainConfig,
     confusion,
     train_classifier,

@@ -7,7 +7,7 @@ construction and feature collection stay; truth table + ISOP + factoring
 
 import pytest
 
-from repro.aig import cone_truth, lit_node, make_lit, mffc_nodes
+from repro.aig import cone_truth, make_lit, mffc_nodes
 from repro.circuits import epfl_circuit
 from repro.cuts import reconv_cut
 from repro.factor import count_tree, factor

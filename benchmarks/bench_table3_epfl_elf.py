@@ -7,7 +7,6 @@ and unchanged levels.  Absolute runtimes are Python-scale; the *ratio*
 is the reproduced quantity.
 """
 
-from repro.circuits import PAPER_TABLE1
 from repro.harness import comparison_rows, format_table, write_report
 
 from conftest import record_report

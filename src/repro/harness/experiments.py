@@ -300,9 +300,7 @@ def serve_throughput(
     from ..opt.session import OptSession
     from ..serve import ServeParams, serve_suite
 
-    params = ServeParams(
-        flow=flow, n_shards=n_shards, workers=workers, keep_graphs=False
-    )
+    params = ServeParams(flow=flow, n_shards=n_shards, workers=workers)
     report = serve_suite(suite, params, classifier=classifier, store=store)
     rows = []
     # One blocking session re-derives every circuit, with per-run caches

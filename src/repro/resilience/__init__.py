@@ -22,9 +22,7 @@ from .deadline import Deadline
 from .faults import FaultPlan, FaultSpec, InjectedFault
 from .policy import (
     DEFAULT_RETRY_POLICY,
-    DEGRADATION_LADDER,
     RetryPolicy,
-    next_rung,
     record_deadline,
     record_degradation,
     record_retry,
@@ -33,13 +31,11 @@ from .policy import (
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
-    "DEGRADATION_LADDER",
     "Deadline",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "RetryPolicy",
-    "next_rung",
     "record_deadline",
     "record_degradation",
     "record_retry",

@@ -7,10 +7,6 @@ to retry is a :class:`RetryPolicy`.  The serving tier's shard supervisor
 (:mod:`repro.serve.proc`) consumes it: it respawns a dead shard within
 the budget, then runs the shard's unfinished circuits in-process.
 
-:data:`DEGRADATION_LADDER` (``shm -> pickle -> sequential``) and
-:func:`next_rung` are the transport ladder of the deleted resynthesis
-pool; nothing consumes them any more.
-
 Every decision is counted on the :mod:`repro.obs` registry so recovery
 is visible in any Prometheus/JSONL export:
 
@@ -28,18 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import obs
-
-DEGRADATION_LADDER = ("shm", "pickle", "sequential")
-"""Transport rungs, fastest first; recovery only ever moves right."""
-
-
-def next_rung(current: str) -> str:
-    """The ladder rung below ``current`` (the floor maps to itself)."""
-    try:
-        index = DEGRADATION_LADDER.index(current)
-    except ValueError:  # "auto" and friends sit at the top of the ladder
-        index = 0
-    return DEGRADATION_LADDER[min(index + 1, len(DEGRADATION_LADDER) - 1)]
 
 
 @dataclass(frozen=True)

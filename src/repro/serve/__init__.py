@@ -3,21 +3,25 @@
 The engine (:mod:`repro.engine`) runs one pass over one network; this
 subsystem serves a whole *suite* of circuits in flight:
 
-* :mod:`repro.serve.shard` — deterministic LPT partition of the suite
-  across shards (:func:`assign_shards` / :class:`ShardPlan`).
-* :mod:`repro.serve.pool` — shard-shared resources: one classifier
-  service per shard fusing ELF inference batches *across* circuits
+* :mod:`repro.serve.shard` — the shard: the deterministic LPT plan
+  (:func:`assign_shards` / :class:`ShardPlan`) and the one body both
+  tiers run — the shard session (:meth:`ServeParams.session`), the
+  store front (``split_suite``), the per-circuit runner
+  (``run_circuit``) and the settle step that yields a
+  :class:`ServeResult`.
+* :mod:`repro.serve.pool` — the thread tier's shard-shared classifier
+  service, fusing ELF inference batches *across* circuits
   (:class:`SharedClassifierService`, exact per-circuit semantics).
-* :mod:`repro.serve.stream` — the orchestrator: :func:`serve_stream`
-  yields per-circuit results in completion order instead of blocking on
-  the slowest shard; :func:`serve_suite` drains it into a
+* :mod:`repro.serve.stream` — the thread host: :func:`serve_stream`
+  runs the body in threads of the caller and yields per-circuit results
+  in completion order; :func:`serve_suite` drains it into a
   :class:`ServeReport` with throughput and batch-occupancy statistics.
 * :mod:`repro.serve.store` — the content-addressed result cache
   (:class:`ResultStore`): finished results keyed by ``(structural
-  digest, normalized script, registry version)``, fronting both serve
-  paths so repeat structures cost a hash instead of a flow.
-* :mod:`repro.serve.proc` — process-sharded execution
-  (:func:`serve_suite_procs`): one warm session per shard *process*,
+  digest, normalized script, registry version)``, fronting both hosts
+  so repeat structures cost a hash instead of a flow.
+* :mod:`repro.serve.proc` — the process host
+  (:func:`serve_suite_procs`): the body in one forked worker per shard,
   with dead-shard respawn and in-process degradation.
 * :mod:`repro.serve.service` — the long-lived entrypoint
   (``python -m repro serve``): an asyncio JSON-lines service over a
@@ -45,9 +49,9 @@ from .pool import (
     script_requirements,
 )
 from .proc import ShardHost, ShardSupervisor, serve_suite_procs
-from .shard import ShardPlan, assign_shards
+from .shard import ServeParams, ServeReport, ServeResult, ShardPlan, assign_shards
 from .store import CachedResult, ResultStore
-from .stream import ServeParams, ServeReport, ServeResult, serve_stream, serve_suite
+from .stream import serve_stream, serve_suite
 
 __all__ = [
     "CachedResult",

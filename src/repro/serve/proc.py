@@ -1,4 +1,4 @@
-"""Process-sharded serving: one warm worker process per shard.
+"""The process tier: the shard body in one warm worker process per shard.
 
 :func:`repro.serve.serve_stream` runs every circuit in a thread of the
 calling process — right for a library call, wrong for a long-lived
@@ -10,14 +10,15 @@ This module moves each shard into its **own process**:
   queue, the worker process, and the ``inflight`` ledger of submitted
   but unfinished circuits — exactly what a respawn must re-run.
 * :func:`_shard_worker_main` is the child body: it builds one warm
-  :class:`repro.opt.OptSession` (per-run caches) and serves circuits
-  off its inbox until told to stop.
+  shard session (:meth:`~repro.serve.shard.ServeParams.session`) and
+  runs each circuit off its inbox through the shared per-circuit body
+  (:func:`repro.serve.shard.run_circuit`) until told to stop.
   Circuits cross the boundary as BENCH text — the serving wire format —
-  never as pickled AIG objects.
-* :func:`serve_suite_procs` is the orchestrator: it shards the suite
-  (same deterministic LPT plan as the thread path), checks each circuit
-  against an optional content-addressed :class:`~repro.serve.store.ResultStore`,
-  dispatches the misses, and supervises the shard processes.
+  never as pickled AIG objects; results come back as the body's payload.
+* :func:`serve_suite_procs` is the orchestrator: the same plan, store
+  front (:func:`~repro.serve.shard.split_suite`) and settle step
+  (:func:`~repro.serve.shard.settle`) as the thread tier, with the
+  misses dispatched to supervised shard processes.
 
 Failure model (the thread path has nothing to recover; this path does):
 a shard process that dies — SIGKILL, OOM, a segfaulting extension —
@@ -43,18 +44,16 @@ import time
 from typing import Iterable
 
 from .. import obs
-from ..aig.io_bench import from_text, to_text
-from ..errors import DeadlineExceeded
+from ..aig.io_bench import to_text
 from ..opt.session import OptSession
-from ..resilience import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy, policy
+from ..resilience import DEFAULT_RETRY_POLICY, RetryPolicy, policy
 from ..resilience.faults import active as faults_active
 from ..resilience.faults import fire, install
-from ..tune import RecipeBook, TuneParams, tune
-from .shard import assign_shards
-from .store import CachedResult, ResultStore
-from .stream import ServeParams, ServeReport, ServeResult
+from ..tune import RecipeBook
+from .shard import ServeParams, ServeReport, assign_shards, run_circuit, settle, split_suite
+from .store import ResultStore
 
-_POLL_S = 0.2  # supervisor wakeup to scan for dead shard processes
+_POLL_S = 0.2  # supervisor / drain wakeup to scan for dead shard processes
 
 
 def _shard_worker_main(
@@ -78,88 +77,18 @@ def _shard_worker_main(
     crash is exactly what the supervisor's respawn path is for.
     """
     install(fault_plan)  # forked children inherit, spawned ones would not
-    session = OptSession(
-        classifier=classifier,
-        engine_workers=params.workers if params.workers > 0 else None,
-        per_run_cache=True,
-        cache_entries=params.engine_cache_entries,
-    )
     recipes = RecipeBook()
-    with session:
+    with params.session(classifier) as session:
         while True:
             item = inbox.get()
             if item is None:
                 return
             req_id, name, bench_text, script, quality_budget_s = item
             fire("shard.circuit", pid=os.getpid(), shard=shard_index, circuit=name)
-            payload = _run_one(
-                session,
-                params,
-                name,
-                bench_text,
-                script,
-                quality_budget_s=quality_budget_s,
-                recipes=recipes,
+            payload = run_circuit(
+                session, params, name, bench_text, script, quality_budget_s, recipes
             )
             outbox.put((req_id, payload))
-
-
-def _run_one(
-    session: OptSession,
-    params: ServeParams,
-    name: str,
-    bench_text: str,
-    script: str | None = None,
-    quality_budget_s: float | None = None,
-    recipes: RecipeBook | None = None,
-) -> dict:
-    """Run one circuit through ``session``; always return a payload dict.
-
-    A quality budget (per-request ``quality_budget_s``, falling back to
-    ``params.quality_budget_s``) replaces the fixed script with a tuner
-    search: the payload then carries the chosen flow as
-    ``tuned_script``, and budget expiry produces the best committed
-    result instead of a ``deadline_exceeded`` marker — the tuner's
-    whole contract is best-so-far, not all-or-nothing.
-    """
-    started = time.perf_counter()
-    payload: dict = {"name": name, "error": None, "deadline_exceeded": False}
-    if quality_budget_s is None:
-        quality_budget_s = params.quality_budget_s
-    try:
-        g = from_text(bench_text, name=name)
-        payload["n_ands_before"] = g.n_ands
-        payload["level_before"] = g.max_level()
-        if quality_budget_s is not None:
-            tuned = tune(
-                g,
-                TuneParams(budget_s=quality_budget_s, recipes=recipes),
-                session=session,
-            )
-            payload["tuned_script"] = tuned.script
-            payload["n_ands"] = tuned.n_ands
-            payload["level"] = tuned.level
-            payload["bench_text"] = to_text(tuned.graph)
-            payload["runtime"] = time.perf_counter() - started
-            return payload
-        deadline = None
-        if params.circuit_timeout_s is not None:
-            deadline = Deadline.after(params.circuit_timeout_s)
-        out, _report = session.run(g, script or params.flow, deadline=deadline)
-    except DeadlineExceeded as error:
-        policy.record_deadline("serve")
-        payload["deadline_exceeded"] = True
-        out = error.partial
-    except Exception as error:
-        obs.counter("serve_circuit_errors_total", type=type(error).__name__).add(1)
-        payload["error"] = f"{type(error).__name__}: {error}"
-        out = None
-    if out is not None:
-        payload["n_ands"] = out.n_ands
-        payload["level"] = out.max_level()
-        payload["bench_text"] = to_text(out)
-    payload["runtime"] = time.perf_counter() - started
-    return payload
 
 
 class ShardHost:
@@ -306,20 +235,10 @@ class ShardSupervisor:
         """
         policy.record_degradation("in-process")
         if self._fallback_session is None:
-            self._fallback_session = OptSession(
-                classifier=self.classifier,
-                engine_workers=self.params.workers if self.params.workers > 0 else None,
-                per_run_cache=True,
-                cache_entries=self.params.engine_cache_entries,
-            )
+            self._fallback_session = self.params.session(self.classifier)
         for req_id, (name, bench_text, script, budget) in list(host.inflight.items()):
-            payload = _run_one(
-                self._fallback_session,
-                self.params,
-                name,
-                bench_text,
-                script,
-                quality_budget_s=budget,
+            payload = run_circuit(
+                self._fallback_session, self.params, name, bench_text, script, budget
             )
             host.outbox.put((req_id, payload))
             # Settle the ledger here (the drain loop's complete() is a
@@ -345,122 +264,48 @@ def serve_suite_procs(
     """Serve ``suite`` across shard *processes*; return a :class:`ServeReport`.
 
     The process analogue of :func:`repro.serve.serve_suite`: the same
-    deterministic shard plan, the same per-circuit result records, but
-    each shard executes in its own forked worker and survives that
-    worker's death (see the module docstring for the recovery model).
-
-    With a ``store``, every circuit is first checked against the
-    content-addressed cache: hits are answered immediately (``cached``
-    set, ``shard`` = -1, bench text byte-identical to the original
-    miss), and every clean miss result is inserted on completion.
-    Deadline-expired and errored circuits are never cached — their
-    content is timing-dependent or absent.  Fused cross-circuit
-    classification is a thread-path feature; here each shard's session
-    calls ``classifier`` directly.
+    deterministic shard plan, store front, per-circuit body and result
+    records, but each shard executes in its own forked worker and
+    survives that worker's death (see the module docstring for the
+    recovery model).  Fused cross-circuit classification is a
+    thread-tier feature; here each shard's session calls ``classifier``
+    directly.
     """
     params = params or ServeParams()
-    if params.quality_budget_s is not None:
-        store = None  # tuned content is wall-clock-dependent: never cached
     plan = assign_shards(suite, params.n_shards, cost)
     ctx = multiprocessing.get_context("fork")
-    metrics = obs.metrics()
     with obs.span(
         "serve.suite_procs", circuits=len(suite), shards=len(plan.shards), flow=params.flow
     ) as suite_span:
-        results: list[ServeResult] = []
-        keys: dict[str, tuple] = {}
-        misses_by_shard: list[list[str]] = []
-        for shard_index, names in enumerate(plan.shards):
-            misses: list[str] = []
-            for name in names:
-                hit = None
-                if store is not None:
-                    keys[name] = store.key(suite[name], params.flow)
-                    hit = store.lookup(keys[name])
-                if hit is not None:
-                    results.append(
-                        ServeResult(
-                            name=name,
-                            shard=-1,
-                            order=len(results),
-                            n_ands_before=suite[name].n_ands,
-                            level_before=suite[name].max_level(),
-                            n_ands=hit.n_ands,
-                            level=hit.level,
-                            bench_text=hit.bench_text,
-                            cached=True,
-                        )
-                    )
-                    metrics.counter("serve_circuits_total", outcome="ok").add(1)
-                else:
-                    misses.append(name)
-            misses_by_shard.append(misses)
+        hits, misses, keys = split_suite(suite, plan, params, store)
+        results = [settle(payload, -1, order) for order, payload in enumerate(hits)]
         outbox = ctx.Queue()
         hosts = []
-        req_of: dict[int, str] = {}
-        shard_of_req: dict[int, ShardHost] = {}
+        owner: dict[int, tuple[str, ShardHost]] = {}  # req_id -> (name, host)
         supervisor = None
         try:
-            req_id = 0
-            for shard_index, misses in enumerate(misses_by_shard):
-                if not misses:
+            for shard_index, names in enumerate(misses):
+                if not names:
                     continue
                 host = ShardHost(ctx, shard_index, params, classifier, outbox)
                 host.spawn()
                 hosts.append(host)
-                for name in misses:
-                    req_of[req_id] = name
-                    shard_of_req[req_id] = host
+                for name in names:
+                    req_id = len(owner)
+                    owner[req_id] = (name, host)
                     host.submit(req_id, name, to_text(suite[name]))
-                    req_id += 1
             supervisor = ShardSupervisor(hosts, params, classifier)
-            remaining = req_id
-            while remaining > 0:
+            while len(results) < len(suite):
                 try:
-                    rid, payload = outbox.get(timeout=_POLL_S)
+                    req_id, payload = outbox.get(timeout=_POLL_S)
                 except queue.Empty:
                     supervisor.check()
                     continue
-                host = shard_of_req[rid]
-                host.complete(rid)
-                result = ServeResult(
-                    name=payload["name"],
-                    shard=host.shard,
-                    order=len(results),
-                    runtime=payload.get("runtime", 0.0),
-                    n_ands_before=payload.get("n_ands_before", 0),
-                    level_before=payload.get("level_before", 0),
-                    n_ands=payload.get("n_ands", 0),
-                    level=payload.get("level", 0),
-                    bench_text=payload.get("bench_text"),
-                    error=payload["error"],
-                    deadline_exceeded=payload["deadline_exceeded"],
-                    tuned_script=payload.get("tuned_script"),
+                name, host = owner[req_id]
+                host.complete(req_id)
+                results.append(
+                    settle(payload, host.shard, len(results), store, keys.get(name))
                 )
-                metrics.histogram(
-                    "serve_circuit_seconds", shard=str(host.shard)
-                ).observe(result.runtime)
-                metrics.counter(
-                    "serve_circuits_total", outcome="ok" if result.ok else "error"
-                ).add(1)
-                if (
-                    store is not None
-                    and result.ok
-                    and not result.deadline_exceeded
-                    and result.bench_text is not None
-                ):
-                    store.insert(
-                        keys[result.name],
-                        CachedResult(
-                            bench_text=result.bench_text,
-                            n_ands=result.n_ands,
-                            level=result.level,
-                            n_ands_before=result.n_ands_before,
-                            level_before=result.level_before,
-                        ),
-                    )
-                results.append(result)
-                remaining -= 1
         finally:
             if supervisor is not None:
                 supervisor.close()
@@ -468,9 +313,4 @@ def serve_suite_procs(
                 for host in hosts:
                     host.stop()
         suite_span.set(ok=all(r.ok for r in results))
-    return ServeReport(
-        plan=plan,
-        results=results,
-        fusion={},
-        wall_time=suite_span.duration,
-    )
+    return ServeReport(plan=plan, results=results, wall_time=suite_span.duration)

@@ -36,8 +36,11 @@ Wire protocol (one JSON object per line)::
     {"op": "metrics"}                        # Prometheus text exposition
     {"op": "shutdown"}
 
-Responses carry ``ok`` plus op-specific fields; an optimize response
-has ``bench``, ``n_ands``, ``level``, ``cached`` and ``runtime``.
+Responses carry ``ok`` plus op-specific fields; every ok optimize
+response — hit, miss or tuned, built by one payload-to-response step —
+has ``name``, ``cached``, ``bench``, ``n_ands``, ``level``,
+``n_ands_before``, ``level_before``, ``deadline_exceeded`` and
+``runtime``.
 ``quality_budget_s`` routes the request through the per-circuit tuner
 (:mod:`repro.tune`) instead of a fixed script: the shard searches for
 the best flow it can find within the budget and the response carries
@@ -68,11 +71,9 @@ from .. import obs
 from ..errors import ReproError
 from ..opt.registry import default_registry
 from .pool import script_requirements
-from .proc import ShardHost, ShardSupervisor
-from .store import CachedResult, ResultStore
-from .stream import ServeParams
-
-_POLL_S = 0.2  # drain-thread wakeup to scan for dead shard processes
+from .proc import _POLL_S, ShardHost, ShardSupervisor
+from .shard import ServeParams
+from .store import ResultStore
 
 
 @dataclass
@@ -134,7 +135,6 @@ class OptimizeService:
         self._futures: dict[int, asyncio.Future] = {}
         self._next_req = 0
         self._pending = 0
-        self._fallback = None  # in-process session for shard-less configs
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -271,7 +271,6 @@ class OptimizeService:
             )
 
     async def _optimize_inner(self, message: dict) -> dict:
-        script = message.get("script") or self.config.script
         name = message.get("name") or "circuit"
         bench = message.get("bench")
         if not isinstance(bench, str) or not bench.strip():
@@ -280,6 +279,7 @@ class OptimizeService:
                 "error": {"type": "bad_request", "detail": "missing bench text"},
             }
         quality_budget_s = message.get("quality_budget_s")
+        script = None
         if quality_budget_s is not None:
             if (
                 isinstance(quality_budget_s, bool)
@@ -294,23 +294,24 @@ class OptimizeService:
                     },
                 }
             quality_budget_s = float(quality_budget_s)
-            return await self._optimize_tuned(name, bench, quality_budget_s)
-        try:
-            # normalize_script is the *strict* resolver — an unknown
-            # command or flag must become a typed rejection here, not a
-            # generic failure when the cache key is built downstream
-            # (script_requirements alone skips unresolvable commands).
-            self.registry.normalize_script(script)
-            needs = script_requirements(script, self.registry)
-        except ReproError as error:
-            return {"ok": False, "error": {"type": "bad_script", "detail": str(error)}}
-        if needs.classifier:
-            # Shard sessions run classifier-less; a script that requires
-            # one can never be served here — reject it typed, up front.
-            return {
-                "ok": False,
-                "error": {"type": "unsupported", "detail": "script needs a classifier"},
-            }
+        else:
+            script = message.get("script") or self.config.script
+            try:
+                # normalize_script is the *strict* resolver — an unknown
+                # command or flag must become a typed rejection here, not
+                # a generic failure when the cache key is built downstream
+                # (script_requirements alone skips unresolvable commands).
+                self.registry.normalize_script(script)
+                needs = script_requirements(script, self.registry)
+            except ReproError as error:
+                return {"ok": False, "error": {"type": "bad_script", "detail": str(error)}}
+            if needs.classifier:
+                # Shard sessions run classifier-less; a script that requires
+                # one can never be served here — reject it typed, up front.
+                return {
+                    "ok": False,
+                    "error": {"type": "unsupported", "detail": "script needs a classifier"},
+                }
         # Admission control: bound what is in flight, reject the rest.
         if self._pending >= self.config.max_pending:
             obs.counter("serve_rejected_total").add(1)
@@ -324,103 +325,21 @@ class OptimizeService:
             }
         self._pending += 1
         try:
+            if quality_budget_s is not None:
+                # Tuned: the store is bypassed both ways — a cached fixed-
+                # flow result could be worse than what the budget buys, and
+                # a tuned result's content depends on the wall clock.  The
+                # front never parses the text: the shard does, so a
+                # malformed netlist comes back as the shard's flow_error.
+                payload = await self._run_sharded(name, bench, None, quality_budget_s)
+                return _response(payload, quality_budget_s)
             key, n_ands_before, level_before = self.store.request_key(bench, script)
             hit = self.store.lookup(key)
             if hit is not None:
-                return {
-                    "ok": True,
-                    "name": name,
-                    "cached": True,
-                    "bench": hit.bench_text,
-                    "n_ands": hit.n_ands,
-                    "level": hit.level,
-                    "n_ands_before": n_ands_before,
-                    "level_before": level_before,
-                    "runtime": 0.0,
-                }
+                return _response(hit.payload(name, n_ands_before, level_before))
             payload = await self._run_sharded(name, bench, script)
-            if payload.get("error") is not None:
-                return {
-                    "ok": False,
-                    "name": name,
-                    "error": {"type": "flow_error", "detail": payload["error"]},
-                }
-            response = {
-                "ok": True,
-                "name": name,
-                "cached": False,
-                "bench": payload.get("bench_text"),
-                "n_ands": payload.get("n_ands", 0),
-                "level": payload.get("level", 0),
-                "n_ands_before": payload.get("n_ands_before", n_ands_before),
-                "level_before": payload.get("level_before", level_before),
-                "deadline_exceeded": payload["deadline_exceeded"],
-                "runtime": payload.get("runtime", 0.0),
-            }
-            if (
-                payload.get("bench_text") is not None
-                and not payload["deadline_exceeded"]
-            ):
-                self.store.insert(
-                    key,
-                    CachedResult(
-                        bench_text=payload["bench_text"],
-                        n_ands=payload.get("n_ands", 0),
-                        level=payload.get("level", 0),
-                        n_ands_before=payload.get("n_ands_before", n_ands_before),
-                        level_before=payload.get("level_before", level_before),
-                    ),
-                )
-            return response
-        finally:
-            self._pending -= 1
-
-    async def _optimize_tuned(self, name: str, bench: str, budget_s: float) -> dict:
-        """Quality-budget request: tuner search on a shard, never cached.
-
-        The store is bypassed in both directions — a cached fixed-flow
-        result could be worse than what the budget buys, and a tuned
-        result's content depends on the wall clock.  Budget expiry comes
-        back as a normal ``ok`` response holding the best committed
-        result; only a real flow failure is a typed error.  The front
-        never parses the text: the shard does, so a malformed netlist
-        comes back as the shard's ``flow_error``.
-        """
-        if self._pending >= self.config.max_pending:
-            obs.counter("serve_rejected_total").add(1)
-            return {
-                "ok": False,
-                "error": {
-                    "type": "overloaded",
-                    "pending": self._pending,
-                    "limit": self.config.max_pending,
-                },
-            }
-        self._pending += 1
-        try:
-            payload = await self._run_sharded(
-                name, bench, None, quality_budget_s=budget_s
-            )
-            if payload.get("error") is not None:
-                return {
-                    "ok": False,
-                    "name": name,
-                    "error": {"type": "flow_error", "detail": payload["error"]},
-                }
-            return {
-                "ok": True,
-                "name": name,
-                "cached": False,
-                "bench": payload.get("bench_text"),
-                "n_ands": payload.get("n_ands", 0),
-                "level": payload.get("level", 0),
-                "n_ands_before": payload["n_ands_before"],
-                "level_before": payload["level_before"],
-                "deadline_exceeded": payload["deadline_exceeded"],
-                "tuned_script": payload.get("tuned_script", ""),
-                "quality_budget_s": budget_s,
-                "runtime": payload.get("runtime", 0.0),
-            }
+            self.store.insert_payload(key, payload)
+            return _response(payload)
         finally:
             self._pending -= 1
 
@@ -461,6 +380,37 @@ class OptimizeService:
                 "text_memo_misses": self.store.text_memo_misses,
             },
         }
+
+
+def _response(payload: dict, quality_budget_s: float | None = None) -> dict:
+    """The optimize response for a finished payload (hit, miss or tuned).
+
+    An ok response always carries the same fields; a tuned one adds the
+    chosen ``tuned_script`` and its ``quality_budget_s``.  A failed flow
+    is a typed ``flow_error``.
+    """
+    if payload["error"] is not None:
+        return {
+            "ok": False,
+            "name": payload["name"],
+            "error": {"type": "flow_error", "detail": payload["error"]},
+        }
+    response = {
+        "ok": True,
+        "name": payload["name"],
+        "cached": payload.get("cached", False),
+        "bench": payload.get("bench_text"),
+        "n_ands": payload.get("n_ands", 0),
+        "level": payload.get("level", 0),
+        "n_ands_before": payload["n_ands_before"],
+        "level_before": payload["level_before"],
+        "deadline_exceeded": payload["deadline_exceeded"],
+        "runtime": payload["runtime"],
+    }
+    if "tuned_script" in payload:
+        response["tuned_script"] = payload["tuned_script"]
+        response["quality_budget_s"] = quality_budget_s
+    return response
 
 
 def run_service(config: ServiceConfig) -> None:

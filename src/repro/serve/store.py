@@ -114,6 +114,37 @@ class CachedResult:
     n_ands_before: int
     level_before: int
 
+    def payload(self, name: str, n_ands_before: int, level_before: int) -> dict:
+        """This entry as a serve payload answering request ``name``.
+
+        The before-counts are the request's own: a structural hit keys
+        on PO-reachable logic only, so the request may carry dangling
+        logic the first submitter did not.
+        """
+        return {
+            "name": name,
+            "error": None,
+            "deadline_exceeded": False,
+            "cached": True,
+            "bench_text": self.bench_text,
+            "n_ands": self.n_ands,
+            "level": self.level,
+            "n_ands_before": n_ands_before,
+            "level_before": level_before,
+            "runtime": 0.0,
+        }
+
+
+def _entry(record: dict) -> CachedResult:
+    """The entry held in ``record``: a serve payload or a spill file's result."""
+    return CachedResult(
+        bench_text=str(record["bench_text"]),
+        n_ands=int(record["n_ands"]),
+        level=int(record["level"]),
+        n_ands_before=int(record["n_ands_before"]),
+        level_before=int(record["level_before"]),
+    )
+
 
 class ResultStore:
     """Bounded LRU of :class:`CachedResult` keyed by content address.
@@ -235,6 +266,20 @@ class ResultStore:
             self._insert_locked(key, result)
         self._spill_write(key, result)
 
+    def insert_payload(self, key: Key, payload: dict) -> None:
+        """Cache a finished serve payload when it is clean.
+
+        Only a result without error, within its deadline and with bench
+        text enters: a deadline-expired result is a timing accident, and
+        an errored one has no content.
+        """
+        if (
+            payload["error"] is None
+            and not payload["deadline_exceeded"]
+            and payload.get("bench_text") is not None
+        ):
+            self.insert(key, _entry(payload))
+
     def _insert_locked(self, key: Key, result: CachedResult) -> None:
         self._store.pop(key, None)  # re-insert = refresh, never double
         self._store[key] = result
@@ -269,13 +314,7 @@ class ResultStore:
             payload = json.loads(self._spill_path(key).read_text(encoding="utf-8"))
             if tuple(payload["key"]) != key:  # filename collision / alien file
                 return None
-            entry = CachedResult(
-                bench_text=str(payload["result"]["bench_text"]),
-                n_ands=int(payload["result"]["n_ands"]),
-                level=int(payload["result"]["level"]),
-                n_ands_before=int(payload["result"]["n_ands_before"]),
-                level_before=int(payload["result"]["level_before"]),
-            )
+            entry = _entry(payload["result"])
         except (OSError, ValueError, KeyError, TypeError):
             return None  # absent or corrupt spill file = plain miss
         self._spill_loads.add(1)

@@ -6,15 +6,10 @@ least significant position).  This matches
 :func:`repro.aig.simulate.cone_truth` and scales to the 10-16 leaf cuts
 the refactor operator works on.
 
-Two representations coexist:
-
-* **Scalar**: one Python int per table.  CPython big-int bitwise ops beat
-  numpy on single tables up to ~13 variables, so every per-table
-  operation keeps this form.
-* **Packed**: a batch of tables as a ``(n_tables, n_words)`` uint64
-  array, bit ``i`` of table ``t`` at ``words[t, i >> 6] >> (i & 63)``.
-  No program code uses it; ``tests/test_kernel_parity.py`` pins its
-  round trips against the scalar form.
+Every per-table operation keeps the scalar form: CPython big-int
+bitwise ops beat numpy on single tables up to ~13 variables.  The one
+numpy form is :func:`tt_to_bits` / :func:`bits_to_tt` (one uint8 per
+minterm), which the vectorized :func:`expand_tt` gathers through.
 """
 
 from __future__ import annotations
@@ -119,50 +114,6 @@ def expand_tt_scalar(tt: int, var_map: list[int], n_from: int, n_to: int) -> int
         if tt >> src_index & 1:
             out |= 1 << minterm
     return out
-
-
-# ----------------------------------------------------------------------
-# Packed word-array kernels
-# ----------------------------------------------------------------------
-
-
-def words_per_table(n_vars: int) -> int:
-    """uint64 words needed for one ``n_vars``-variable table (min 1)."""
-    return max(1, (1 << n_vars) >> 6)
-
-
-def tt_to_words(tt: int, n_vars: int) -> np.ndarray:
-    """Pack one table into a ``(words_per_table(n_vars),)`` uint64 array."""
-    n_words = words_per_table(n_vars)
-    raw = (tt & full_mask(n_vars)).to_bytes(n_words * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").copy()
-
-
-def words_to_tt(words: np.ndarray, n_vars: int | None = None) -> int:
-    """Inverse of :func:`tt_to_words`; truncates to ``n_vars`` when given."""
-    value = int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
-    if n_vars is not None:
-        value &= full_mask(n_vars)
-    return value
-
-
-def pack_tts(tts: list[int], n_vars: int) -> np.ndarray:
-    """Pack a batch of tables into one ``(len(tts), n_words)`` uint64 array."""
-    n_words = words_per_table(n_vars)
-    ones = full_mask(n_vars)
-    raw = b"".join((tt & ones).to_bytes(n_words * 8, "little") for tt in tts)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(tts), n_words).copy()
-
-
-def unpack_tts(words: np.ndarray) -> list[int]:
-    """Inverse of :func:`pack_tts` (no truncation: words carry the width)."""
-    contiguous = np.ascontiguousarray(words, dtype="<u8")
-    stride = contiguous.shape[1] * 8
-    raw = contiguous.tobytes()
-    return [
-        int.from_bytes(raw[i * stride : (i + 1) * stride], "little")
-        for i in range(contiguous.shape[0])
-    ]
 
 
 def tt_to_bits(tt: int, n_vars: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Tests for the invariant checker and strash/cleanup utilities."""
 
-from repro.aig import AIG, check, cleanup, is_valid, lit_node, strash
+from repro.aig import AIG, check, cleanup, is_valid, strash
 
 from .util import po_truth_tables, random_aig
 

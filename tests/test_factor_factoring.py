@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FactoringError
-from repro.factor import FactorTree, factor, good_factor, verify_factoring
+from repro.factor import factor, good_factor, verify_factoring
 from repro.tt import cube_from_lits, isop_exact, lit_index, sop_literal_count, sop_tt
 
 

@@ -2,9 +2,10 @@
 
 An import nothing references is a dependency the module claims but does
 not have: it costs every import of the package and hides which modules
-really depend on which.  The import guard keeps the deleted resynthesis
-pool from coming back through a module-level import: loading the
-optimizer and the engine must not load :mod:`multiprocessing`.
+really depend on which.  The rule covers the package and the test,
+benchmark, tool and example scripts alike.  The import guard keeps the
+deleted resynthesis pool from coming back through a module-level import:
+loading the optimizer and the engine must not load :mod:`multiprocessing`.
 """
 
 import ast
@@ -12,7 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+# Script trees held to the same rule as the package.  ``elfbench/`` is
+# left out: it changes only together with the benchmark it defines.
+SCRIPT_TREES = ("tests", "benchmarks", "tools", "examples")
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -56,11 +61,14 @@ def unreferenced_imports(path: Path, root: Path) -> list[str]:
 
 
 def test_no_unreferenced_module_level_imports():
+    paths = sorted((SRC / "repro").rglob("*.py")) + [
+        path for tree in SCRIPT_TREES for path in sorted((REPO / tree).rglob("*.py"))
+    ]
     dead = [
         hit
-        for path in sorted((SRC / "repro").rglob("*.py"))
+        for path in paths
         if path.name != "__init__.py"  # package re-exports
-        for hit in unreferenced_imports(path, SRC)
+        for hit in unreferenced_imports(path, REPO)
     ]
     assert dead == [], "unreferenced imports:\n" + "\n".join(dead)
 

@@ -38,12 +38,7 @@ from repro.tt.truth import (
     cofactor1,
     expand_tt,
     expand_tt_scalar,
-    pack_tts,
     tt_to_bits,
-    tt_to_words,
-    unpack_tts,
-    words_per_table,
-    words_to_tt,
 )
 
 from .util import random_aig
@@ -198,16 +193,6 @@ class TestNpnParity:
 
 
 class TestPackRoundTrips:
-    @pytest.mark.parametrize("n_vars", [0, 1, 3, 6, 7, 9])
-    def test_single_and_batch_word_round_trips(self, n_vars):
-        rng = random.Random(76 + n_vars)
-        tables = _random_tables(rng, n_vars, 50)
-        for tt in tables:
-            assert words_to_tt(tt_to_words(tt, n_vars)) == tt
-        packed = pack_tts(tables, n_vars)
-        assert packed.shape == (len(tables), words_per_table(n_vars))
-        assert unpack_tts(packed) == tables
-
     @pytest.mark.parametrize("n_vars", [0, 2, 6, 8])
     def test_bit_expansion_round_trips(self, n_vars):
         rng = random.Random(77 + n_vars)

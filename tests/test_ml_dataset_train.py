@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.ml import CutDataset, DatasetCollector, TrainConfig, train_classifier
-from repro.cuts import CutFeatures
 from repro.opt import refactor
 
 from .util import random_aig

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.aig import AIG, check, lit_node, lit_not
+from repro.aig import AIG, check, lit_not
 from repro.circuits.arith import adder, multiplier
 from repro.errors import ReproError
-from repro.factor import FactorTree
 from repro.opt import (
     NpnLibrary,
     RESYN2,
@@ -13,7 +12,6 @@ from repro.opt import (
     RewriteParams,
     balance,
     default_library,
-    refactor,
     resub,
     rewrite,
     run_flow,

@@ -6,7 +6,7 @@ The load-bearing property: refactor must preserve the network function
 
 import pytest
 
-from repro.aig import AIG, check, lit_node, lit_not
+from repro.aig import AIG, check
 from repro.circuits.arith import adder, divider, multiplier
 from repro.opt import RefactorParams, RefactorStats, refactor
 from repro.verify import equivalent

@@ -24,13 +24,11 @@ from repro.engine import EngineParams, RewriteEngineParams, engine_refactor, eng
 from repro.errors import DeadlineExceeded, FatalError, ReproError, RetryableError
 from repro.opt.session import OptSession
 from repro.resilience import (
-    DEGRADATION_LADDER,
     Deadline,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     RetryPolicy,
-    next_rung,
 )
 from repro.resilience import faults
 from repro.serve.pool import SharedClassifierService
@@ -133,13 +131,6 @@ class TestRetryPolicy:
         assert policy.backoff(1) == pytest.approx(0.10)
         assert policy.backoff(2) == pytest.approx(0.15)  # capped
         assert policy.backoff(10) == pytest.approx(0.15)
-
-    def test_ladder_moves_right_only(self):
-        assert DEGRADATION_LADDER == ("shm", "pickle", "sequential")
-        assert next_rung("shm") == "pickle"
-        assert next_rung("pickle") == "sequential"
-        assert next_rung("sequential") == "sequential"  # the floor holds
-        assert next_rung("auto") == "pickle"  # unknowns sit at the top
 
 
 # --------------------------------------------------------------------------

@@ -18,10 +18,17 @@ import pytest
 from repro import obs
 from repro.aig.io_bench import from_text, to_text
 from repro.harness import serve_throughput
-from repro.opt import run_flow
+from repro.opt import OptSession, run_flow
 from repro.resilience import faults
-from repro.serve import CachedResult, ResultStore, ServeParams, serve_suite_procs
+from repro.serve import (
+    CachedResult,
+    ResultStore,
+    ServeParams,
+    serve_suite,
+    serve_suite_procs,
+)
 from repro.serve import store as store_module
+from repro.serve.shard import run_circuit
 from repro.serve.service import (
     OptimizeService,
     ServiceConfig,
@@ -108,6 +115,93 @@ class TestServeSuiteProcs:
         )
         assert all(row.identical for row in cold_rows)
         assert all(row.identical and row.cached for row in warm_rows)
+
+
+class TestCrossTierParity:
+    """The thread tier and the process tier run one shard body, so they
+    must agree field for field on every circuit, cold and warm."""
+
+    FIELDS = ("bench_text", "n_ands_before", "level_before", "n_ands", "level", "error")
+
+    @classmethod
+    def _by_name(cls, report):
+        return {
+            r.name: tuple(getattr(r, field) for field in cls.FIELDS)
+            for r in report.results
+        }
+
+    @staticmethod
+    def _suite(screen_circuits):
+        # A shard parses each circuit under its suite key, and the key is
+        # the BENCH header's name; name the thread tier's clones the same.
+        return {name: g.clone(name=name) for name, g in screen_circuits.items()}
+
+    def test_tiers_agree_cold_and_warm(self, screen_circuits):
+        suite = self._suite(screen_circuits)
+        params = ServeParams(flow=FLOW, n_shards=2, workers=1)
+        thread_store, proc_store = ResultStore(), ResultStore()
+        thread = serve_suite(suite, params, store=thread_store)
+        procs = serve_suite_procs(suite, params, store=proc_store)
+        assert thread.ok and procs.ok
+        assert not any(r.cached for r in thread.results + procs.results)
+        expected = self._by_name(thread)
+        assert sorted(expected) == sorted(suite)
+        assert self._by_name(procs) == expected
+        warm = (
+            serve_suite(suite, params, store=thread_store),
+            serve_suite_procs(suite, params, store=proc_store),
+        )
+        for report in warm:
+            assert all(r.cached and r.shard == -1 for r in report.results)
+            assert self._by_name(report) == expected
+
+    def test_a_failing_flow_fails_alike(self, screen_circuits):
+        # elf without a classifier fails inside every circuit's flow.
+        suite = self._suite(screen_circuits)
+        params = ServeParams(flow="b; elf", n_shards=2)
+        errors = [
+            {r.name: r.error for r in serve(suite, params).results}
+            for serve in (serve_suite, serve_suite_procs)
+        ]
+        assert sorted(errors[0]) == sorted(suite)
+        assert all(error and "classifier" in error for error in errors[0].values())
+        assert errors[1] == errors[0]
+
+
+class TestServiceResponseShape:
+    """Every ok optimize response carries one field set, however it was
+    answered: a miss run on a shard, a store hit, or a tuned search."""
+
+    FIELDS = {
+        "name", "cached", "bench", "n_ands", "level", "n_ands_before",
+        "level_before", "deadline_exceeded", "runtime",
+    }
+
+    def test_hit_miss_and_tuned_responses_share_fields(self, monkeypatch):
+        service = OptimizeService(ServiceConfig(script=FLOW))
+        session = OptSession()
+
+        async def shard(name, bench, script, quality_budget_s=None):
+            return run_circuit(
+                session, service.params, name, bench, script, quality_budget_s
+            )
+
+        monkeypatch.setattr(service, "_run_sharded", shard)
+        message = {
+            "op": "optimize",
+            "name": "shape",
+            "bench": to_text(random_aig(6, 90, 3, seed=8, name="shape")),
+        }
+        miss, hit, tuned = (
+            asyncio.run(service._optimize_inner(m))
+            for m in (message, message, dict(message, quality_budget_s=0.05))
+        )
+        assert (miss["cached"], hit["cached"], tuned["cached"]) == (False, True, False)
+        assert "tuned_script" in tuned
+        for response in (miss, hit, tuned):
+            assert response["ok"], response
+            assert self.FIELDS <= set(response), sorted(self.FIELDS - set(response))
+        assert hit["bench"] == miss["bench"]
 
 
 class TestServiceValidation:

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.aig import AIG
-from repro.aig.io_bench import to_text
+from repro.aig.io_bench import from_text, to_text
 from repro.circuits.random_aig import layered_random_aig
 from repro.errors import ReproError
 from repro.opt import RESYN2, OptSession, run_flow
@@ -278,7 +278,7 @@ class TestServeQualityBudget:
         for r in report.results:
             assert r.ok and not r.cached
             assert r.tuned_script is not None
-            assert equivalent(suite[r.name], r.graph), r.name
+            assert equivalent(suite[r.name], from_text(r.bench_text)), r.name
         # Tuned content depends on the wall clock: the store must neither
         # answer nor learn from a quality-budget run.
         assert len(store) == 0
@@ -289,19 +289,20 @@ class TestServeQualityBudget:
         report = serve_suite(suite, ServeParams(quality_budget_s=0.001, n_shards=1))
         for r in report.results:
             assert r.ok, (r.name, r.error)  # expiry degrades, never errors
-            assert equivalent(suite[r.name], r.graph), r.name
+            assert equivalent(suite[r.name], from_text(r.bench_text)), r.name
 
     def test_malformed_tuned_request_is_the_shards_flow_error(self, monkeypatch):
         # The front hands the text to a shard unparsed; the shard's parse
         # failure comes back typed, like any other flow failure.
-        from repro.serve import proc, service as service_module
+        from repro.serve import service as service_module
+        from repro.serve.shard import run_circuit
 
         service = OptimizeService(ServiceConfig())
         seen = []
 
         async def shard(name, bench, script, quality_budget_s=None):
             seen.append(bench)
-            return proc._run_one(
+            return run_circuit(
                 OptSession(), ServeParams(), name, bench, script, quality_budget_s
             )
 

@@ -5,7 +5,6 @@ import pytest
 from repro.aig import AIG, lit_not
 from repro.errors import SatError
 from repro.verify import Solver, counterexample, encode, equivalent
-from repro.verify.cnf import CnfMapping
 
 from .util import random_aig
 
