@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-key bench-all profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-key bench-memo bench-all profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -91,6 +91,14 @@ bench-train:
 # `serve_key` rows into BENCH_engine.json.
 bench-key:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve_key.py
+
+# The resynthesis kernels' process-wide memos on the elfbench workloads:
+# cold ISOP / factoring seconds over the distinct rf/rfz cut functions,
+# the memo entries and deep bytes they leave, and the VmHWM growth of
+# one process serving the serve pool through `b; rf`; merges the
+# `resynth_memo` rows into BENCH_engine.json.
+bench-memo:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_resynth_memo.py
 
 # Full paper benchmark suite (trains/caches classifiers on first run).
 bench-all:

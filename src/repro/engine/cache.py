@@ -22,6 +22,13 @@ most ``N`` entries per layer in LRU order and counts evictions on the
 the default — a single flow's working set is modest — but long-lived
 serving sessions cap their caches so memory stays flat under arbitrary
 circuit traffic.
+
+Those bounds cover this cache only.  The kernels underneath keep
+process-wide memos of their own — the ISOP core's subproblems
+(``repro.tt.isop``) and factoring's sub-SOP trees
+(``repro.factor.factoring``) — which no cache bound and no per-run cache
+resets: in a serving shard they live across every request, bounded only
+by their entry caps (``docs/engine.md`` gives the bytes per entry).
 """
 
 from __future__ import annotations

@@ -48,17 +48,41 @@ def weak_div(cubes: list[int], divisor: list[int]) -> tuple[list[int], list[int]
     return quotient, remainder
 
 
-def most_frequent_literal(cubes: list[int]) -> tuple[int, int]:
-    """``(literal index, count)`` of the most frequent literal (ties: lowest
-    index); ``(-1, 0)`` for an empty or literal-free SOP."""
-    freq = sop_literal_frequencies(cubes)
-    best_lit, best_count = -1, 0
-    # Single unsorted sweep; the tie rule (max count, then lowest index)
-    # is enforced directly instead of via a sorted ascending scan.
-    for lit, count in freq.items():
-        if count > best_count or (count == best_count and lit < best_lit):
-            best_lit, best_count = lit, count
-    return best_lit, best_count
+def most_frequent_literal(cubes: list[int], among: int = -1) -> tuple[int, int]:
+    """``(literal index, count)`` of the literal occurring in the most
+    cubes (ties: lowest index); ``(-1, 0)`` when no literal occurs.
+
+    ``among`` restricts the choice to the literals of that cube (default:
+    every literal).  The counts are bit-sliced: plane ``i`` holds bit
+    ``i`` of every literal's count, one ripple-carry add per cube, and
+    the maximum is read off the planes from the top down.
+    """
+    planes: list[int] = []
+    for cube in cubes:
+        carry = cube & among
+        i = 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+    if not planes:
+        return -1, 0
+    # Every literal that occurs has some count bit set; keep, plane by
+    # plane from the most significant, the candidates that have it.
+    best = 0
+    for plane in planes:
+        best |= plane
+    count = 0
+    for i in range(len(planes) - 1, -1, -1):
+        top = best & planes[i]
+        if top:
+            best = top
+            count |= 1 << i
+    return (best & -best).bit_length() - 1, count
 
 
 def quick_divisor(cubes: list[int]) -> list[int] | None:

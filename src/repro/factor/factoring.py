@@ -12,7 +12,16 @@ its cube list and the divisor method, and refactor re-factors the same
 sub-SOPs across the cut functions of one circuit.  Trees are immutable,
 so sharing a memoized one is invisible except in time.  The memo is
 cleared when it reaches :data:`FACTOR_MEMO_LIMIT` entries, as the ISOP
-memo is.
+memo is, and lives as long as the process.
+
+Unlike the ISOP memo, this one also stores the top-level tree of every
+``factor`` call.  A served request runs with a fresh per-run
+resynthesis cache, so across a shard's requests this memo is what
+answers a repeated cut function, and a top-level factoring (a divisor
+search before any memoized child) costs far more than a top-level ISOP
+split over memoized halves: serving the elfbench arith pool through
+``b; rf`` in one process spends about twice as long in ``factor``
+without the top-level entries (``make bench-memo`` sizes the memo).
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from ..errors import FactoringError
 from ..tt.sop import (
     check_sop,
     cube_lits,
-    sop_literal_frequencies,
     sop_make_cube_free,
     sop_tt,
 )
@@ -32,7 +40,7 @@ from .divisor import (
     quick_divisor,
     weak_div,
 )
-from .tree import FactorTree
+from .tree import _CUBE_CACHE, FactorTree
 
 FACTOR_MEMO_LIMIT = 1 << 16
 """Entry cap of the process-wide factoring memo (cleared, not LRU)."""
@@ -41,12 +49,14 @@ _MEMO: dict[tuple[tuple[int, ...], object], FactorTree] = {}
 
 
 def clear_factor_memo() -> None:
-    """Reset the process-wide factoring memo.
+    """Reset the process-wide factoring memo and the factor-tree cube
+    cache (:mod:`repro.factor.tree`).
 
-    Results never depend on memo state; this exists so benchmarks can
-    time every mode from a cold start.
+    Results never depend on either; this exists so benchmarks can time
+    every mode from a cold start.
     """
     _MEMO.clear()
+    _CUBE_CACHE.clear()
 
 
 def factor(cubes: list[int], n_vars: int | None = None, method: str = "quick") -> FactorTree:
@@ -123,7 +133,7 @@ def _gfactor_split(cubes: list[int], divisor_fn) -> FactorTree:
 
 def _literal_factor(cubes: list[int], cube: int, divisor_fn) -> FactorTree:
     """LF: factor out the best single literal of ``cube``."""
-    lit = _best_literal(cubes, cube)
+    lit = most_frequent_literal(cubes, cube or -1)[0]
     if lit < 0:
         return FactorTree.from_sop(cubes)
     quotient, remainder = divide_by_literal(cubes, lit)
@@ -136,20 +146,6 @@ def _literal_factor(cubes: list[int], cube: int, divisor_fn) -> FactorTree:
         return product
     r_tree = _gfactor(remainder, divisor_fn)
     return FactorTree.or_([product, r_tree])
-
-
-def _best_literal(cubes: list[int], cube: int) -> int:
-    """Literal of ``cube`` appearing in the most cubes of the SOP."""
-    if cube == 0:
-        lit, count = most_frequent_literal(cubes)
-        return lit if count else -1
-    freq = sop_literal_frequencies(cubes)
-    best_lit, best_count = -1, 0
-    for lit in cube_lits(cube):
-        count = freq.get(lit, 0)
-        if count > best_count:
-            best_lit, best_count = lit, count
-    return best_lit
 
 
 def _best_kernel(cubes: list[int]) -> list[int] | None:

@@ -31,9 +31,14 @@ _CUBE_CACHE: dict[int, "FactorTree"] = {}
 _CUBE_CACHE_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorTree:
-    """Immutable factored-form node."""
+    """Immutable factored-form node.
+
+    Slotted: the factoring memo holds tens of thousands of nodes for the
+    life of a process, and a per-instance ``__dict__`` would cost several
+    times the node itself.
+    """
 
     kind: str
     var: int = -1

@@ -157,10 +157,14 @@ class ServeParams:
     def session(self, classifier=None) -> OptSession:
         """One shard's warm session.
 
-        Every circuit of the shard shares its NPN library; caches are
-        per run (= per circuit), so a served result never depends on
-        what the shard's other circuits seeded, and cache memory stays
-        bounded per request.
+        Every circuit of the shard shares its NPN library; resynthesis
+        caches are per run (= per circuit), so a served result never
+        depends on what the shard's other circuits seeded, and their
+        memory is bounded per request (``engine_cache_entries``).  The
+        kernels' own memos are not: the ISOP and factoring memos
+        (``repro.tt.isop``, ``repro.factor.factoring``) are
+        process-wide, live across the shard's requests, and are bounded
+        only by their entry caps (see ``docs/engine.md``).
         """
         return OptSession(
             classifier=classifier,

@@ -6,51 +6,65 @@
 The recursion splits on the top variable in the support and produces an
 irredundant cover, the same construction ABC uses (``Kit_TruthIsop``).
 
-The recursive core is memoized process-wide: it is a pure function of
-``(lower, upper, n_vars)``, and the cofactor subproblems of related
-cut functions overlap heavily (the reconvergent cones of one circuit
-keep re-deriving the same half-covers), so on refactor-scale workloads
-more than half the recursion tree is served from the memo.  The memo is
-cleared when it reaches :data:`ISOP_MEMO_LIMIT` entries, bounding memory
-without changing any result.
+The core works at the width its bounds actually need.  On entry it
+drops every top variable neither bound depends on (while both bounds'
+halves are equal it keeps the low half, one variable narrower), then
+splits on the top variable that remains, so the cofactors are the plain
+low and high halves of the table.  Dropping top variables leaves the
+indices of the others unchanged, so a cube list found at the reduced
+width is the cube list at any wider one; only the cover table has to be
+widened, which a caller does with one multiply by a replication
+constant.
 
-The recursion body is the sequential hot loop of refactor-family
-operators (every resynthesis task starts with one or two ISOPs), so it
-is written for big-int throughput: the four cofactors share one mask /
-shift computation per split instead of going through the
-:mod:`repro.tt.truth` helpers, and the split-variable scan
-short-circuits bound by bound.  Output is bit-identical to the
-straightforward composition of :func:`repro.tt.truth.cofactor0` /
-``cofactor1`` — ``tests/test_kernel_parity.py`` pins the cube lists of
-both formulations against each other.
+The core's child subproblems are memoized process-wide, keyed by
+``(lower, upper, w)`` at the reduced width ``w``, packed into one int
+``upper << 2**w | lower``.  The packing is unambiguous without ``w``:
+a valid pair has ``upper != 0``, so the key's bit length lies in
+``(2**w, 2**(w+1)]``.  A cofactor problem met by cut functions of
+different widths is one entry, and every key and cover below the top is
+a table of at most ``2**(n_vars-1)`` bits per bound.  The top-level
+call of :func:`isop_exact` / :func:`isop` is looked up but never stored:
+within a pass the caller's own ``(tt, n)`` resynthesis cache keeps its
+result, and a top split over memoized halves is cheap to redo.  The
+memo is cleared when it reaches :data:`ISOP_MEMO_LIMIT` entries; it
+lives as long as the process, so a serving shard keeps it across
+requests.
+
+Output is bit-identical to the straightforward full-width composition
+of :func:`repro.tt.truth.cofactor0` / ``cofactor1`` —
+``tests/test_kernel_parity.py`` pins the cube lists of both
+formulations against each other.
 """
 
 from __future__ import annotations
 
 from ..errors import TruthTableError
-from ..aig.simulate import full_mask, var_mask
+from ..aig.simulate import full_mask
 
 ISOP_MEMO_LIMIT = 1 << 18
 """Entry cap of the process-wide Minato-Morreale memo (cleared, not LRU)."""
 
-_MEMO: dict[tuple[int, int, int], tuple[list[int], int]] = {}
+# upper << 2**w | lower, at the reduced width w -> (cubes, cover, w).
+_MEMO: dict[int, tuple[list[int], int, int]] = {}
 _MEMO_HITS = 0
 
-# Per-width scan constants: n_vars -> (ones, (var_mask(0), var_mask(1), ...)).
-# Tuple indexing in the recursion's split-variable scan replaces one
-# dict-with-tuple-key lookup and one big-int full_mask allocation per call.
-_SCAN: dict[int, tuple[int, tuple[int, ...]]] = {}
+# Per-width constants, grown on demand: _FULL[w] is the all-ones table
+# over w variables, _REP[w][v] the multiplier that replicates a
+# 2**v-bit table to 2**w bits (full(w) // full(v)).
+_FULL: dict[int, int] = {}
+_REP: dict[int, list[int]] = {}
 
 
-def _scan_constants(n_vars: int) -> tuple[int, tuple[int, ...]]:
-    entry = _SCAN.get(n_vars)
-    if entry is None:
-        entry = (
-            full_mask(n_vars),
-            tuple(var_mask(v, n_vars) for v in range(n_vars)),
-        )
-        _SCAN[n_vars] = entry
-    return entry
+def _grow(n_vars: int) -> None:
+    # Safe under threads: concurrent callers store equal values, and
+    # _REP[w] is stored last, so ``w in _REP`` means every width up to
+    # w is ready.
+    if n_vars in _REP:
+        return
+    for w in range(n_vars + 1):
+        if w not in _REP:
+            _FULL[w] = full_mask(w)
+            _REP[w] = [_FULL[w] // full_mask(v) for v in range(w + 1)]
 
 
 def clear_isop_memo() -> None:
@@ -73,96 +87,92 @@ def isop_memo_hits() -> int:
 
 def isop_exact(tt: int, n_vars: int) -> list[int]:
     """Irredundant SOP of ``tt`` (no don't-cares)."""
-    cubes, cover = _isop(tt, tt, n_vars, n_vars)
-    if cover != tt:  # pragma: no cover - algorithmic invariant
+    _grow(n_vars)
+    if tt == 0:
+        return []
+    if not 0 < tt < _FULL[n_vars]:
+        if tt == _FULL[n_vars]:
+            return [0]
+        raise TruthTableError(f"isop: table exceeds {n_vars} variables")
+    cubes, cover, w = _isop(tt, tt, n_vars, False)
+    if cover * _REP[n_vars][w] != tt:  # pragma: no cover - algorithmic invariant
         raise TruthTableError("isop cover mismatch")
     return list(cubes)
 
 
 def isop(lower: int, upper: int, n_vars: int) -> list[int]:
     """Cover ``C`` with ``lower <= tt(C) <= upper`` (don't-care interval)."""
-    mask = full_mask(n_vars)
-    lower &= mask
-    upper &= mask
+    _grow(n_vars)
+    ones = _FULL[n_vars]
+    lower &= ones
+    upper &= ones
     if lower & ~upper:
         raise TruthTableError("isop: lower bound not contained in upper bound")
-    cubes, _cover = _isop(lower, upper, n_vars, n_vars)
-    return list(cubes)
+    if lower == 0:
+        return []
+    if upper == ones:
+        return [0]
+    return list(_isop(lower, upper, n_vars, False)[0])
 
 
-def _isop(lower: int, upper: int, top: int, n_vars: int) -> tuple[list[int], int]:
-    """Recursive core; returns (cubes, exact cover truth table).
+def _isop(lower: int, upper: int, w: int, store: bool = True) -> tuple[list[int], int, int]:
+    """Recursive core over ``2**w``-bit bounds, ``0 < lower <= upper <
+    full(w)``; returns ``(cubes, cover, w')`` with the exact cover table
+    at the reduced width ``w' <= w``.
 
     Callers must not mutate the returned cube list — it is shared with
-    the memo (the public wrappers copy).
-
-    The memo key omits ``top``: the split variable is the top-most
-    variable either bound depends on, and every call site guarantees
-    ``top`` exceeds it (the public wrappers pass ``n_vars``; recursive
-    calls pass the parent's split variable, above which the cofactors
-    are constant), so the result is independent of where the scan
-    starts.  Dropping ``top`` folds the same subproblem reached at
-    different recursion depths into one entry.
+    the memo (the public wrappers copy).  ``store=False`` (the top-level
+    call) looks the memo up but adds no entry.
     """
-    if lower == 0:
-        return [], 0
-    ones, masks = _scan_constants(n_vars)
-    if upper == ones:
-        return [0], ones
-    key = (lower, upper, n_vars)
+    # Drop top variables neither bound depends on.  The loop ends with
+    # w >= 1: at w == 1 equal halves would make lower == upper == 0b11,
+    # which the preconditions exclude.
+    while True:
+        half = 1 << (w - 1)
+        ones = _FULL[w - 1]
+        l0 = lower & ones
+        l1 = lower >> half
+        u0 = upper & ones
+        u1 = upper >> half
+        if l0 != l1 or u0 != u1:
+            break
+        lower = l0
+        upper = u0
+        w -= 1
+    key = upper << (half << 1) | lower
     hit = _MEMO.get(key)
     if hit is not None:
         global _MEMO_HITS
         _MEMO_HITS += 1
         return hit
-    # Find the top-most variable either bound depends on.  A bound
-    # depends on ``var`` exactly when its high half differs from its low
-    # half under the periodic mask; checking ``lower`` first
-    # short-circuits the (rarer) ``upper`` comparison.
-    var = top - 1
-    while var >= 0:
-        mask = masks[var]
-        shift = 1 << var
-        if (lower & mask) != ((lower << shift) & mask) or (
-            (upper & mask) != ((upper << shift) & mask)
-        ):
-            break
-        var -= 1
-    if var < 0:  # pragma: no cover - constants handled above
-        raise TruthTableError("isop: no support variable found")
 
-    # All four cofactors inline, sharing one mask / inverse-mask pair:
-    # cofactor0 duplicates the low half up, cofactor1 the high half down
-    # (bit-identical to repro.tt.truth.cofactor0/cofactor1).
-    inv = ~mask & ones
-    l_lo = lower & inv
-    l_hi = lower & mask
-    u_lo = upper & inv
-    u_hi = upper & mask
-    l0 = l_lo | (l_lo << shift)
-    l1 = l_hi | (l_hi >> shift)
-    u0 = u_lo | (u_lo << shift)
-    u1 = u_hi | (u_hi >> shift)
-
-    # Minterms only realizable in the var=0 (resp. var=1) half.  The two
-    # base cases (empty lower bound, full upper bound) are inlined at
-    # each recursion site: most child subproblems are trivial, and
-    # skipping the call halves the recursion count.  (Base results are
-    # never memoized, so this is state-identical to calling through.)
+    # Split on variable w - 1: l0/u0 are the var=0 halves, l1/u1 the
+    # var=1 halves, each a table over w - 1 variables.  The two base
+    # cases (empty lower bound, full upper bound) are inlined at each
+    # recursion site: most child subproblems are trivial, and skipping
+    # the call halves the recursion count.  A child cover comes back at
+    # its own reduced width and is replicated back up to w - 1.
+    w1 = w - 1
+    rep = _REP[w1]
+    # Minterms only realizable in the var=0 (resp. var=1) half.
     lo = l0 & ~u1
     if lo == 0:
         cubes0, cover0 = [], 0
     elif u0 == ones:
         cubes0, cover0 = [0], ones
     else:
-        cubes0, cover0 = _isop(lo, u0, var, n_vars)
+        cubes0, cover0, wc = _isop(lo, u0, w1)
+        if wc != w1:
+            cover0 *= rep[wc]
     lo = l1 & ~u0
     if lo == 0:
         cubes1, cover1 = [], 0
     elif u1 == ones:
         cubes1, cover1 = [0], ones
     else:
-        cubes1, cover1 = _isop(lo, u1, var, n_vars)
+        cubes1, cover1, wc = _isop(lo, u1, w1)
+        if wc != w1:
+            cover1 *= rep[wc]
     # What remains must be covered independently of var.
     lo = (l0 & ~cover0) | (l1 & ~cover1)
     if lo == 0:
@@ -172,17 +182,21 @@ def _isop(lower: int, upper: int, top: int, n_vars: int) -> tuple[list[int], int
         if u_star == ones:
             cubes_star, cover_star = [0], ones
         else:
-            cubes_star, cover_star = _isop(lo, u_star, var, n_vars)
+            cubes_star, cover_star, wc = _isop(lo, u_star, w1)
+            if wc != w1:
+                cover_star *= rep[wc]
 
-    neg_bit = 1 << (2 * var + 1)  # lit_index(var, True), inlined
-    pos_bit = 1 << (2 * var)
+    neg_bit = 1 << (2 * w1 + 1)  # lit_index(w1, True), inlined
+    pos_bit = 1 << (2 * w1)
     cubes = (
         [c | neg_bit for c in cubes0]
         + [c | pos_bit for c in cubes1]
         + cubes_star
     )
-    cover = (cover0 & inv) | (cover1 & mask) | cover_star
-    if len(_MEMO) >= ISOP_MEMO_LIMIT:
-        _MEMO.clear()
-    _MEMO[key] = (cubes, cover)
-    return cubes, cover
+    cover0 |= cover_star
+    result = (cubes, cover0 | ((cover1 | cover_star) << half), w)
+    if store:
+        if len(_MEMO) >= ISOP_MEMO_LIMIT:
+            _MEMO.clear()
+        _MEMO[key] = result
+    return result

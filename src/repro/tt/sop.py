@@ -79,34 +79,12 @@ def sop_literal_count(cubes: list[int]) -> int:
     return sum(cube_size(c) for c in cubes)
 
 
-# Internal cube -> literal-list cache for the frequency scan (the
-# divisor search recounts frequencies after every division step, and the
-# same cubes recur across steps and SOPs).  The lists never escape this
-# module, so sharing is safe; capped like the ISOP memo (cleared, not
-# LRU).
-_CUBE_LITS: dict[int, list[int]] = {}
-_CUBE_LITS_LIMIT = 1 << 16
-
-
 def sop_literal_frequencies(cubes: list[int]) -> dict[int, int]:
     """Occurrence count of every literal index present in the SOP."""
     freq: dict[int, int] = {}
-    get = freq.get
-    lits_get = _CUBE_LITS.get
     for cube in cubes:
-        lits = lits_get(cube)
-        if lits is None:
-            lits = []
-            rest = cube
-            while rest:
-                low = rest & -rest
-                lits.append(low.bit_length() - 1)
-                rest ^= low
-            if len(_CUBE_LITS) >= _CUBE_LITS_LIMIT:  # pragma: no cover - cap
-                _CUBE_LITS.clear()
-            _CUBE_LITS[cube] = lits
-        for lit in lits:
-            freq[lit] = get(lit, 0) + 1
+        for lit in cube_lits(cube):
+            freq[lit] = freq.get(lit, 0) + 1
     return freq
 
 

@@ -1,5 +1,7 @@
 """Tests for algebraic division and kernel extraction."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +86,56 @@ def test_most_frequent_literal():
     assert lit == lit_index(0, False)
     assert count == 3
     assert most_frequent_literal([]) == (-1, 0)
+
+
+def _count_oracle(cubes, among=-1):
+    """Dict-count reference: the literal of ``among`` occurring in the
+    most cubes, ties to the lowest index; ``(-1, 0)`` when none occurs."""
+    freq = {}
+    for c in cubes:
+        for lit in range(c.bit_length()):
+            if c >> lit & 1 and among >> lit & 1:
+                freq[lit] = freq.get(lit, 0) + 1
+    best_lit, best_count = -1, 0
+    for lit in sorted(freq):
+        if freq[lit] > best_count:
+            best_lit, best_count = lit, freq[lit]
+    return best_lit, best_count
+
+
+def test_literal_counts_match_dict_oracle_on_corners():
+    a, na, b, c = (lit_index(0, False), lit_index(0, True),
+                   lit_index(1, False), lit_index(2, False))
+    ties = [cube((0, False)), cube((1, False)), cube((2, False), (0, True))]
+    cases = [
+        [],  # empty SOP
+        [0],  # the constant-one cube
+        [0, 0, 0],  # literal-free cubes only
+        ties,  # a, b, c, !a once each: the lowest index wins
+        [cube((2, False)), cube((1, False)), cube((2, False)), cube((1, False))],
+        [1 << b, 1 << c] * 3 + [1 << a],  # equal counts above 1
+        [1 << na, 0, 1 << na, 1 << a],
+    ]
+    for cubes in cases:
+        assert most_frequent_literal(cubes) == _count_oracle(cubes)
+        for among in (1 << a, 1 << c | 1 << b, 1 << na):
+            assert most_frequent_literal(cubes, among) == _count_oracle(cubes, among)
+    assert most_frequent_literal(ties) == (a, 1)
+    assert most_frequent_literal(cases[4]) == (b, 2)
+    # A cube none of whose literals occur selects nothing.
+    assert most_frequent_literal(ties, cube((5, False), (6, True))) == (-1, 0)
+    assert most_frequent_literal([0, 0], 1 << a) == (-1, 0)
+
+
+def test_literal_counts_match_dict_oracle_on_random_sops():
+    rng = random.Random(9)
+    for _ in range(3000):
+        n_lits = rng.randint(1, 20)
+        cubes = [rng.getrandbits(n_lits) & rng.getrandbits(n_lits)
+                 for _ in range(rng.randint(0, 40))]
+        assert most_frequent_literal(cubes) == _count_oracle(cubes)
+        among = rng.getrandbits(n_lits)
+        assert most_frequent_literal(cubes, among) == _count_oracle(cubes, among)
 
 
 def test_quick_divisor_classic():

@@ -22,6 +22,7 @@ from repro.cuts.reconv import reconv_cut
 from repro.errors import TruthTableError
 from repro.tt import isop, isop_exact, npn_canonize, sop_tt
 from repro.factor import factoring
+from repro.factor import tree as tree_module
 from repro.factor.factoring import clear_factor_memo, factor, verify_factoring
 from repro.tt.isop import clear_isop_memo
 from repro.tt.npn import (
@@ -97,26 +98,51 @@ def _isop_reference(lower: int, upper: int, n_vars: int) -> tuple[list[int], int
     return cubes, cover
 
 
+def _low_support_tables(rng: random.Random, n_vars: int, count: int) -> list[int]:
+    """Tables over ``n_vars`` that ignore their top variables: a random
+    function of the low ``k`` variables replicated up, the shape the
+    width-reducing core folds onto narrower memo entries."""
+    tables = []
+    for _ in range(count):
+        k = rng.randint(1, n_vars)
+        tables.append(rng.getrandbits(1 << k) * (full_mask(n_vars) // full_mask(k)))
+    return tables
+
+
 class TestIsopParity:
     def test_exact_covers_match_reference_cube_lists(self):
         rng = random.Random(71)
         clear_isop_memo()
-        for n_vars in (1, 2, 3, 4, 6, 8):
-            for tt in _random_tables(rng, n_vars, 60):
+        for n_vars in range(11):
+            count = 40 if n_vars <= 8 else 8
+            tables = _random_tables(rng, n_vars, count)
+            if n_vars:
+                tables += _low_support_tables(rng, n_vars, count // 2)
+            for tt in tables:
                 expected, cover = _isop_reference(tt, tt, n_vars)
                 assert cover == tt
                 assert isop_exact(tt, n_vars) == expected
 
     def test_interval_covers_match_reference_cube_lists(self):
         rng = random.Random(72)
-        for n_vars in (2, 3, 4, 6):
+        for n_vars in range(11):
             ones = full_mask(n_vars)
-            for _ in range(80):
-                lower = rng.getrandbits(1 << n_vars) & ones
-                upper = lower | (rng.getrandbits(1 << n_vars) & ones)
-                assert isop(lower, upper, n_vars) == (
-                    _isop_reference(lower, upper, n_vars)[0]
-                )
+            count = 40 if n_vars <= 8 else 8
+            lowers = [rng.getrandbits(1 << n_vars) & ones for _ in range(count)]
+            if n_vars:
+                lowers += _low_support_tables(rng, n_vars, count // 2)
+            for lower in lowers:
+                # Sparse and dense don't-care sets, and an upper bound
+                # that ignores the top variables when the lower bound does.
+                for upper in (
+                    lower | (rng.getrandbits(1 << n_vars) & ones),
+                    lower | (rng.getrandbits(1 << n_vars) & rng.getrandbits(1 << n_vars)),
+                    lower | (lower >> 1),
+                ):
+                    upper &= ones
+                    assert isop(lower, upper, n_vars) == (
+                        _isop_reference(lower, upper, n_vars)[0]
+                    )
 
     def test_memo_state_never_changes_results(self):
         # The same table asked cold and warm must produce the same list.
@@ -146,6 +172,13 @@ class TestFactorMemo:
         assert len(factoring._MEMO) <= 1
         for (cubes, _method), tree in zip(jobs, cold):
             assert verify_factoring(cubes, tree, 7)
+
+    def test_clear_resets_the_cube_tree_cache(self):
+        factor([0b0101, 0b1010, 0b0110])
+        assert tree_module._CUBE_CACHE
+        clear_factor_memo()
+        assert not tree_module._CUBE_CACHE
+        assert not factoring._MEMO
 
 
 # ----------------------------------------------------------------------
