@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-key bench-memo bench-all profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-key bench-memo bench-classify bench-all profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -52,9 +52,9 @@ trace-demo:
 serve-demo:
 	$(PYTHON) tools/serve_demo.py
 
-# Tuner smoke test: tunes a small circuit under a 2 s budget and asserts
-# the result matches/beats fixed resyn2, CEC-clean, with a recipe-book
-# hit on the second run (tools/tune_demo.py).
+# Tuner smoke test: tunes a 6x6 multiplier under a 2 s budget and asserts
+# the result matches/beats fixed resyn2, keeps ANDs, is CEC-clean, with a
+# recipe-book hit on the second run (tools/tune_demo.py).
 tune-demo:
 	$(PYTHON) tools/tune_demo.py
 
@@ -99,6 +99,14 @@ bench-key:
 # `resynth_memo` rows into BENCH_engine.json.
 bench-memo:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_resynth_memo.py
+
+# ELF's pass 1 on the elfbench suites and industrial_design(3, 1.0):
+# median seconds of 5 cold runs for the per-node reconv_cut loop and for
+# the lockstep feature sweep, the sweep's state bytes, and an equality
+# check of the two feature matrices (exit 1 if they differ); merges the
+# `elf_classify` rows into BENCH_engine.json.
+bench-classify:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_elf_classify.py
 
 # Full paper benchmark suite (trains/caches classifiers on first run).
 bench-all:

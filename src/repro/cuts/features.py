@@ -1,9 +1,13 @@
 """The six structural cut features of the ELF classifier (paper SS III-C).
 
-The features are counted by :mod:`repro.cuts.reconv` in one pass over
-the finished cone's interior fanin edges, so feature collection adds
-little runtime on top of forming the cut — the property the paper
-relies on to keep inference cheaper than resynthesis.
+The features are counted by :mod:`repro.cuts.reconv`: per cut by
+``reconv_cut`` (one pass over the finished cone's interior fanin
+edges), and for ELF's pass 1 by ``reconv_features``, which grows every
+root's cut in one lockstep NumPy sweep and reads ``cut_fanout`` and
+``n_reconvergent`` off per-node edge counts instead of interior sets,
+in state chunked to a fixed byte budget.  That sweep is what keeps
+classification cheap next to the resynthesis it prunes — the property
+the paper relies on (SS III-C).
 
 Feature semantics, following Fig. 2 of the paper:
 

@@ -2,11 +2,23 @@
 
 Batched mode (the paper's deployment):
 
-1. one sweep forms every node's cut and stacks the six features into a
-   single matrix;
+1. one lockstep sweep (:func:`repro.cuts.reconv.reconv_features`) grows
+   every node's reconvergence-driven cut at once and reads the six
+   features off per-node counts, building no cut object: ``cut_fanout``
+   is the interior's reference total minus the fanin edges that stay
+   inside, ``n_reconvergent`` the nodes two or more interior edges
+   reach.  Its state is one int32 per (root, node) pair of a chunk of
+   roots, chunked to a fixed byte budget (never roots x graph size);
 2. one fused matmul classifies all nodes at once;
 3. the refactor sweep then skips every node classified as
-   will-not-improve, resynthesizing only the survivors.
+   will-not-improve, resynthesizing only the survivors, each of which
+   forms its cut with :func:`repro.cuts.reconv.reconv_cut` as ``rf``
+   does.
+
+Pass 1's seconds are booked to ``time_cut`` (the sweep) and
+``time_inference`` (the matmul), and reported as the ``classify_s``
+attribute of the ``elf.refactor`` span, next to ``survivors`` and
+``survived_no_gain`` (survivors whose resynthesis committed nothing).
 
 Features from step 1 can go stale as commits mutate the graph; the paper
 notes (and we preserve) that this only costs runtime, never quality —
@@ -34,8 +46,7 @@ import numpy as np
 from .. import obs
 from ..aig.graph import AIG
 from ..aig.levels import RequiredLevels
-from ..cuts.features import stack_features
-from ..cuts.reconv import reconv_cut
+from ..cuts.reconv import reconv_cut, reconv_features
 from ..opt.refactor import RefactorParams, RefactorStats, pass_twins, refactor_node
 from .classifier import ElfClassifier
 
@@ -78,6 +89,7 @@ def elf_refactor(
             cache = {}
         if params.batched:
             keep = _batch_classify(g, nodes, classifier, params, stats)
+            classify_s = stats.time_cut + stats.time_inference  # pass 1 alone
         else:
             keep = None
         twins = pass_twins(g, params.refactor, stats)
@@ -120,11 +132,16 @@ def elf_refactor(
             )
             if collector is not None:
                 collector(cut.features, committed)
+        if not params.batched:
+            classify_s = stats.time_inference  # per-node classifier calls
         pass_span.set(
             nodes=stats.nodes_visited,
             pruned=stats.pruned,
             commits=stats.commits,
             screened=stats.fail_screened,
+            survivors=stats.nodes_visited - stats.pruned,
+            survived_no_gain=stats.cuts_formed - stats.commits,
+            classify_s=classify_s,
         )
     stats.time_total = pass_span.duration
     return stats
@@ -137,15 +154,12 @@ def _batch_classify(
     params: ElfParams,
     stats: RefactorStats,
 ) -> np.ndarray:
-    """Pass 1 of Algorithm 2: collect every cut's features, classify once."""
+    """Pass 1 of Algorithm 2: one lockstep sweep collects every cut's
+    features, one call classifies them all."""
     t0 = time.perf_counter()
-    features = []
-    for node in nodes:
-        cut = reconv_cut(g, node, params.refactor.max_leaves, collect_features=True)
-        features.append(cut.features)
+    matrix = reconv_features(g, nodes, params.refactor.max_leaves)
     stats.time_cut += time.perf_counter() - t0
     t0 = time.perf_counter()
-    matrix = stack_features(features)
     keep = classifier.keep_mask(matrix)
     stats.time_inference += time.perf_counter() - t0
     return keep

@@ -1,12 +1,16 @@
 """Tests for reconvergence-driven cut computation and ELF features."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import AIG, cone_truth, lit_node, lit_not
 from repro.cuts import CutFeatures, reconv_cut, stack_features
+from repro.cuts import reconv as reconv_module
+from repro.cuts.reconv import reconv_features, sweep_rows, sweep_state_bytes
 
-from .util import random_aig
+from .util import po_truth_tables, random_aig
 
 
 def test_cut_of_simple_and():
@@ -225,3 +229,147 @@ def test_features_match_incremental_oracle():
                 n_cuts += 1
                 n_triple += most >= 3
     assert n_cuts > 1000 and n_triple > 10
+
+
+# -- the lockstep feature sweep ------------------------------------------------
+
+
+def _stacked(g, roots, max_leaves):
+    """The per-node reference: one ``reconv_cut`` per root, stacked."""
+    return stack_features([reconv_cut(g, r, max_leaves).features for r in roots])
+
+
+def _assert_sweep_matches(g, max_leaves, roots=None):
+    roots = g.and_ids() if roots is None else roots
+    got = reconv_features(g, roots, max_leaves)
+    want = _stacked(g, roots, max_leaves)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    bad = np.flatnonzero((got != want).any(axis=1))
+    assert bad.size == 0, (
+        f"{g.name} max_leaves={max_leaves}: root {roots[bad[0]]} "
+        f"sweep {got[bad[0]]} != reconv_cut {want[bad[0]]}"
+    )
+
+
+def _flow_suites():
+    """The circuits of both elfbench flow suites: the six arith
+    generators (2,575 ANDs) and the ten industrial designs at size
+    factor 0.05 (2,464 ANDs)."""
+    from repro.circuits import arith
+    from repro.circuits.industrial import industrial_suite
+
+    arith_suite = [
+        arith.divider(5),
+        arith.hypotenuse(5),
+        arith.log2_approx(10),
+        arith.multiplier(6),
+        arith.isqrt(6),
+        arith.square(8),
+    ]
+    return arith_suite, list(industrial_suite(0.05).values())
+
+
+@pytest.mark.parametrize("max_leaves", [4, 10])
+def test_sweep_matches_reconv_cut_on_flow_suites(max_leaves):
+    arith_suite, industrial = _flow_suites()
+    assert sum(g.n_ands for g in arith_suite) == 2575
+    assert sum(g.n_ands for g in industrial) == 2464
+    for g in arith_suite + industrial:
+        _assert_sweep_matches(g, max_leaves)
+
+
+def test_sweep_matches_on_random_graphs_at_every_leaf_limit():
+    n_graphs = 0
+    for seed in range(12):
+        g = random_aig(6 + seed % 6, 120 + 10 * seed, 4, seed=100 + seed)
+        ones = (1 << (1 << g.n_pis)) - 1
+        if all(tt in (0, ones) for tt in po_truth_tables(g)):
+            continue  # constant outputs: nothing for a cut to find
+        n_graphs += 1
+        for max_leaves in range(2, 13):
+            _assert_sweep_matches(g, max_leaves)
+    assert n_graphs >= 10
+
+
+def test_sweep_matches_after_rf_edits():
+    """``rf`` commits leave node ids out of topological order (a fanin
+    can have a larger id than its fanout); the sweep must not care."""
+    from repro.circuits import arith
+    from repro.circuits.random_aig import layered_random_aig
+    from repro.opt import refactor
+
+    circuits = [
+        arith.multiplier(6),
+        arith.divider(5),
+        arith.hypotenuse(5),
+        layered_random_aig(12, 500, seed=3),
+    ]
+    n_out_of_order = 0
+    for g in circuits:
+        assert refactor(g).commits > 0
+        n_out_of_order += sum(
+            max(lit_node(lit) for lit in g.fanin_lits(node)) > node
+            for node in g.and_ids()
+        )
+        for max_leaves in (4, 10):
+            _assert_sweep_matches(g, max_leaves)
+    assert n_out_of_order > 0
+
+
+def test_sweep_takes_the_first_of_tied_leaves():
+    """After the root, leaves ``x`` and ``y`` both cost one new leaf; the
+    first in list order (``x``) must be expanded, and that choice shows
+    in ``cut_fanout`` because only ``x`` also drives a PO."""
+    g = AIG()
+    a, b, c, d = (g.add_pi() for _ in range(4))
+    x = g.add_and(a, b)
+    y = g.add_and(c, d)
+    root = g.add_and(x, y)
+    g.add_po(root)
+    g.add_po(x)
+    root_node = lit_node(root)
+    cut = reconv_cut(g, root_node, max_leaves=3)
+    assert cut.interior == {root_node, lit_node(x)}
+    assert cut.features.cut_fanout == 2  # root -> PO, x -> PO
+    got = reconv_features(g, [root_node], max_leaves=3)
+    assert got.tolist() == [list(cut.features.as_tuple())]
+
+
+def test_sweep_takes_a_free_expansion_behind_a_costly_leaf():
+    """After the root, the leaves are ``[x, y]``: ``x`` costs a new leaf,
+    ``y = x & d`` is free (its fanin ``x`` is visited).  ``y`` must be
+    expanded first although ``x`` comes first in list order; at a limit
+    of two leaves, a rule that ranked ``y`` with the costly leaves would
+    stop at the root."""
+    g = AIG()
+    a, b, d = (g.add_pi() for _ in range(3))
+    x = g.add_and(a, b)
+    y = g.add_and(x, d)
+    root = g.add_and(x, y)
+    g.add_po(root)
+    root_node = lit_node(root)
+    cut = reconv_cut(g, root_node, max_leaves=2)
+    assert cut.interior == {root_node, lit_node(y)}
+    assert cut.leaves == [lit_node(x), lit_node(d)]
+    for max_leaves in range(2, 6):
+        _assert_sweep_matches(g, max_leaves)
+
+
+def test_sweep_chunks_with_bounded_state(monkeypatch):
+    """Chunked state: a tiny budget forces many chunks (and the per-row
+    floor) without changing a single feature, on any root order with
+    repeats; the state is never roots x graph size."""
+    g = random_aig(8, 300, 5, seed=7)
+    roots = g.and_ids()[::-1] + g.and_ids()[:9]
+    want = _stacked(g, roots, 8)
+    monkeypatch.setattr(reconv_module, "STATE_BUDGET_BYTES", 1)
+    monkeypatch.setattr(reconv_module, "_MIN_ROWS", 7)
+    assert sweep_rows(g.n_nodes, len(roots)) == 7
+    assert np.array_equal(reconv_features(g, roots, 8), want)
+    monkeypatch.undo()
+    # Default budget: a 6,836-slot graph sweeps its 6,386 roots in chunks
+    # whose state stays within the budget.
+    n_nodes, n_roots = 6836, 6386
+    assert sweep_rows(n_nodes, n_roots) < n_roots
+    assert sweep_state_bytes(n_nodes, n_roots) <= reconv_module.STATE_BUDGET_BYTES
+    assert reconv_features(g, [], 8).shape == (0, 6)

@@ -143,6 +143,66 @@ class TestOperator:
         assert s_stream.pruned > 0
         assert s_stream.time_inference > 0
 
+    def test_sweep_pass_one_is_the_per_node_pass(self, monkeypatch):
+        """Pass 1 through the lockstep sweep gives the keep masks, outputs
+        and counters of pass 1 through one ``reconv_cut`` per node."""
+        from repro.circuits.arith import divider, hypotenuse
+        from repro.cuts import reconv_cut, stack_features
+        from repro.elf import operator
+
+        def per_node(g, nodes, max_leaves):
+            return stack_features(
+                [reconv_cut(g, node, max_leaves).features for node in nodes]
+            )
+
+        clf = trained_classifier()
+        keep_mask = clf.keep_mask
+
+        def run(g, features):
+            masks = []
+
+            def recording(matrix):
+                masks.append(keep_mask(matrix))
+                return masks[-1]
+
+            monkeypatch.setattr(operator, "reconv_features", features)
+            monkeypatch.setattr(clf, "keep_mask", recording)
+            return masks, elf_refactor(g, clf)
+
+        sweep = operator.reconv_features
+        n_kept = n_pruned = 0
+        for g in (multiplier(5), divider(5), hypotenuse(4), random_aig(7, 150, 4, seed=20)):
+            swept, by_node = g.clone(), g.clone()
+            masks, stats = run(swept, sweep)
+            want_masks, want_stats = run(by_node, per_node)
+            assert len(masks) == len(want_masks) == 1
+            assert masks[0].tobytes() == want_masks[0].tobytes(), g.name
+            assert swept.structural_digest() == by_node.structural_digest(), g.name
+            for counter in ("nodes_visited", "pruned", "cuts_formed", "commits"):
+                assert getattr(stats, counter) == getattr(want_stats, counter)
+            n_kept += int(masks[0].sum())
+            n_pruned += int((~masks[0]).sum())
+        assert n_kept > 0 and n_pruned > 0
+
+    def test_trace_records_survivors_and_classify_time(self):
+        from repro import obs
+
+        clf = trained_classifier()
+        g = random_aig(7, 150, 4, seed=21)
+        obs.configure(enabled=True)
+        obs.reset()
+        try:
+            stats = elf_refactor(g, clf)
+            (span,) = [s for s in obs.tracer().spans() if s.name == "elf.refactor"]
+        finally:
+            obs.configure(enabled=False)
+            obs.reset()
+        attrs = span.attrs
+        assert attrs["survivors"] == stats.nodes_visited - stats.pruned > 0
+        assert attrs["survived_no_gain"] == stats.cuts_formed - stats.commits
+        assert 0 < attrs["classify_s"] <= span.duration
+        assert attrs["classify_s"] <= stats.time_cut + stats.time_inference
+
     def test_collector_sees_survivors_only(self):
         clf = trained_classifier()
         g = random_aig(7, 120, 4, seed=31)

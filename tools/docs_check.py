@@ -5,8 +5,10 @@ Two checks, both cheap enough to run inside the default test target:
 1. **Module docstrings.**  Every ``.py`` file under ``src/repro/engine``,
    ``src/repro/serve``, ``src/repro/obs`` and ``src/repro/resilience``
    — plus the individually listed hot-path and API-surface modules
-   (simulation kernels; the rewrite, refactor and ELF operators, whose
-   docstrings carry their exactness arguments; the trainer and the
+   (simulation kernels; the cut sweep behind ELF's pass 1, whose
+   docstring carries its count identities and memory bound; the
+   rewrite, refactor and ELF operators, whose docstrings carry their
+   exactness arguments; the trainer and the
    leave-one-out pipeline, whose docstrings say why the stacked step
    keeps each model's bits and what the family memo guarantees; and the
    flow layer:
@@ -60,6 +62,7 @@ DOCSTRING_TREES = (
 )
 DOCSTRING_FILES = (
     "src/repro/aig/simulate.py",
+    "src/repro/cuts/reconv.py",
     "src/repro/elf/operator.py",
     "src/repro/elf/pipeline.py",
     "src/repro/ml/train.py",
