@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-rw bench-serve bench-tune bench-train bench-key bench-memo bench-classify bench-all profile clean
+.PHONY: test test-fast test-faults docs-check lint-timing lint-faults trace-demo serve-demo tune-demo bench-serve bench-tune bench-train bench-key bench-memo bench-classify bench-all profile clean
 
 test: docs-check lint-timing lint-faults serve-demo tune-demo
 	$(PYTHON) -m pytest -x -q
@@ -57,12 +57,6 @@ serve-demo:
 # recipe-book hit on the second run (tools/tune_demo.py).
 tune-demo:
 	$(PYTHON) tools/tune_demo.py
-
-# Wave-rewrite scaling (no classifier training needed): writes
-# benchmarks/results/engine_scaling_rewrite.{json,txt} and refreshes the
-# rewrite rows of BENCH_engine.json without touching other records.
-bench-rw:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scaling.py
 
 # resyn2 runtime profile (refactor's share of the flow, paper SS II).
 profile:

@@ -40,7 +40,7 @@ sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np  # noqa: E402
 
-from benchmarks.bench_engine_scaling import merge_bench_records  # noqa: E402
+from benchmarks.bench_records import merge_bench_records  # noqa: E402
 from elfbench import workloads  # noqa: E402
 from repro.circuits.industrial import industrial_design  # noqa: E402
 from repro.cuts import reconv_cut, stack_features  # noqa: E402

@@ -175,7 +175,7 @@ def run_cold_warm(flow=COLD_WARM_FLOW, n_shards=N_SHARDS, workers=WORKERS) -> di
     cold results.  Both rows merge into ``BENCH_engine.json`` under
     ``operator: "serve"``.
     """
-    from bench_engine_scaling import merge_bench_records
+    from bench_records import merge_bench_records
 
     suite = build_suite()
     store = ResultStore(max_entries=64)

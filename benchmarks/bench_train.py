@@ -36,7 +36,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
-from benchmarks.bench_engine_scaling import merge_bench_records  # noqa: E402
+from benchmarks.bench_records import merge_bench_records  # noqa: E402
 from elfbench import workloads  # noqa: E402
 from repro.elf import collect_dataset, pipeline  # noqa: E402
 from repro.ml.train import TrainConfig  # noqa: E402

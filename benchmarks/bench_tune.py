@@ -1,9 +1,10 @@
 """Fixed ``resyn2`` vs the budgeted tuner at equal wall-budget.
 
 The acceptance bar of the ``repro.tune`` subsystem (``make bench-tune``):
-on the layered bench suite, a tuned run given the **same wall-clock
-budget** must match or beat the fixed ``resyn2`` AND count on at least
-2 of the 3 circuits, CEC-clean, with seeded runs.  The comparison is
+on three arithmetic circuits whose outputs are not constant, a tuned
+run given the **same wall-clock budget** must match or beat the fixed
+``resyn2`` AND count on at least 2 of the 3 circuits, CEC-clean, with
+seeded runs.  The comparison is
 honest about the budget: the fixed flow runs once (it finishes well
 inside the budget and simply stops), while the tuner spends the whole
 budget — first replaying the resyn2 trajectory as committed probes,
@@ -12,7 +13,7 @@ then searching past it.
 Writes ``benchmarks/results/tune_search.json``, renders a table, and
 merges the ``tune-search`` rows into the repo-level
 ``BENCH_engine.json`` perf trajectory via
-:func:`benchmarks.bench_engine_scaling.merge_bench_records` (cpu_count
+:func:`benchmarks.bench_records.merge_bench_records` (cpu_count
 stamped; records of other operators are preserved).
 """
 
@@ -28,8 +29,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
-from benchmarks.bench_engine_scaling import merge_bench_records  # noqa: E402
-from repro.circuits.random_aig import layered_random_aig  # noqa: E402
+from benchmarks.bench_records import merge_bench_records  # noqa: E402
+from repro.circuits.arith import divider, hypotenuse, multiplier  # noqa: E402
 from repro.harness.tables import format_table  # noqa: E402
 from repro.opt import RESYN2, run_flow  # noqa: E402
 from repro.tune import TuneParams, tune  # noqa: E402
@@ -41,9 +42,9 @@ SEED = 0
 # Few PIs on purpose: CEC below is the *exact* exhaustive-simulation
 # method, so every tuned result is verified, not spot-checked.
 SUITE = (
-    ("layered-a", dict(n_pis=12, n_ands=800, seed=11)),
-    ("layered-b", dict(n_pis=14, n_ands=600, seed=22)),
-    ("layered-c", dict(n_pis=16, n_ands=400, seed=33)),
+    ("hyp5", lambda: hypotenuse(5)),
+    ("div6", lambda: divider(6)),
+    ("mult7", lambda: multiplier(7)),
 )
 
 
@@ -51,8 +52,8 @@ def main() -> int:
     records = []
     rows = []
     wins = 0
-    for name, spec in SUITE:
-        g = layered_random_aig(**spec)
+    for name, build in SUITE:
+        g = build()
         started = time.perf_counter()
         fixed, _report = run_flow(g.clone(), RESYN2)
         fixed_s = time.perf_counter() - started

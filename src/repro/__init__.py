@@ -15,8 +15,8 @@ Quickstart::
 Subpackages: ``aig`` (the AND-inverter-graph substrate), ``cuts``,
 ``tt`` (truth tables/ISOP/NPN), ``factor`` (algebraic factoring),
 ``opt`` (refactor/rewrite/resub/balance/flows), ``ml`` (NumPy training
-stack), ``elf`` (the paper's contribution), ``engine`` (the ``pf``/``prw``
-engine commands and conflict-wave rewriting), ``serve`` (sharded
+stack), ``elf`` (the paper's contribution), ``engine`` (the ``pf``/``pelf``
+commands and the cross-pass resynthesis cache), ``serve`` (sharded
 multi-circuit serving with cross-circuit fused classification),
 ``circuits`` (benchmark
 generators), ``verify`` (SAT/CEC), ``analysis`` (t-SNE/SHAP), and

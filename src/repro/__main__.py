@@ -21,7 +21,7 @@ train and deploy those through the Python API.
 writes the trace on exit — Chrome trace-event JSON (open in
 ``chrome://tracing`` / Perfetto) or JSONL when ``FILE`` ends in
 ``.jsonl``.  ``--metrics FILE`` writes the metrics registry (flow
-command timings, wave counters) in Prometheus text format.
+command timings, engine pass counters) in Prometheus text format.
 
 ``python -m repro serve --socket PATH`` starts the long-lived
 optimization service instead (:mod:`repro.serve.service`): shard worker

@@ -17,8 +17,7 @@ This mirrors the core of ABC's strashed AIG network:
   ``Abc_AigReplace`` cascade), propagating level updates and garbage
   collecting the dead cone;
 * every kill and in-place fanin rewire is journaled per epoch
-  (:meth:`AIG.drain_dirty`), which is how the parallel engine maps a wave
-  of commits to the exact set of candidate snapshots it invalidated.
+  (:meth:`AIG.drain_dirty`); no operator reads the journal today.
 
 The class is deliberately index-based (parallel lists) rather than
 object-based: Python object graphs are several times slower and this
@@ -90,9 +89,7 @@ class AIG:
         # consumers (cuts, required levels) to detect staleness.
         self.edit_stamp = 0
         # Dirty journal of the current epoch: nodes killed and fanouts
-        # rewired by replace()/GC since the last drain_dirty().  This is
-        # what lets the engine invalidate exactly the snapshots an epoch
-        # of commits touched instead of liveness-probing every candidate.
+        # rewired by replace()/GC since the last drain_dirty().
         self._dirty_killed: set[int] = set()
         self._dirty_rewired: set[int] = set()
 
@@ -425,9 +422,6 @@ class AIG:
         """Return and clear the epoch's structural-damage journal.
 
         An epoch is everything since the previous drain (or construction).
-        The wave engine drains once per committed replacement — reported
-        up through ``commit_scored`` — and maps the killed set through its
-        candidate index to find exactly the snapshots that went stale.
         Sequential operator passes drain once at entry, retiring the
         previous epoch; between drains the journal is bounded by the
         allocated slot count (ids live in sets), never by the number of

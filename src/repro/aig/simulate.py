@@ -16,10 +16,9 @@ Five engines:
   refactor);
 * :func:`batch_cone_truths` — the multi-root batch kernel: one shared
   topological pass ranks the union of many cut cones, then each cone is
-  evaluated by a flat loop over its pre-ranked interior.  This replaces
-  the per-candidate recursive DFS of :func:`cone_truth` on the parallel
-  engine's hot path, where a whole commit wave's survivor cones are
-  evaluated back to back against the same graph.
+  evaluated by a flat loop over its pre-ranked interior, bit-identical
+  to one :func:`cone_truth` per cone.  No operator calls it;
+  ``tests/test_kernel_parity.py`` pins it against :func:`cone_truth`.
 """
 
 from __future__ import annotations

@@ -8,13 +8,12 @@ second ``elf`` of an ``elf; elf`` flow starts with every factored form
 the first pass derived.  Lookups are exact, so entries are bit-identical
 to recomputation and sharing a cache changes nothing but runtime.
 
-A second, independent layer serves the *rewrite* family:
-:meth:`ResynthCache.library_lookup` memoizes the NPN-library resolution
-``tt4 -> (LibraryEntry, Transform)`` per cache (i.e. per flow), so every
-``prw`` wave — and every later rewrite step of the same script — pays
-the canonization walk for each distinct 4-variable function once.  The
-layer stores the library's own (immutable) entries, never derived trees,
-so it is deterministic and safe for any consumer.
+A second, independent layer, :meth:`ResynthCache.library_lookup`,
+memoizes the NPN-library resolution ``tt4 -> (LibraryEntry, Transform)``
+per cache.  It stores the library's own (immutable) entries, never
+derived trees, so it is deterministic and safe for any consumer.  No
+built-in command routes through it: ``rw`` and its ``prw`` alias look
+functions up in the library directly.
 
 Every layer can be bounded: ``ResynthCache(max_entries=N)`` keeps at
 most ``N`` entries per layer in LRU order and counts evictions on the

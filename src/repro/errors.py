@@ -54,12 +54,12 @@ class FatalError(ReproError):
 class DeadlineExceeded(ReproError):
     """A latency budget (:class:`repro.resilience.Deadline`) expired.
 
-    Carries the best consistent result committed before expiry: waves
-    commit serially, so ``partial`` — when set by the flow layer — is a
+    Carries the best consistent result committed before expiry: commits
+    are serial, so ``partial`` — when set by the flow layer — is a
     valid, CEC-verifiable AIG reflecting every completed commit, and
     ``report`` covers the flow steps that finished.  ``site`` names the
     checkpoint that observed the expiry (``"flow.command"``,
-    ``"engine.wave"``, ``"engine.pass"``, ...).
+    ``"engine.pass"``).
     """
 
     def __init__(self, message: str = "deadline exceeded", site: str = "",

@@ -3,12 +3,10 @@
 from .cache import cache_dir, cached_classifier, cached_dataset, clear_cache
 from .experiments import (
     DEFAULT_TRAIN_CONFIG,
-    EngineScalingRow,
     RedundancyRow,
     ServeThroughputRow,
     StatsRow,
     comparison_rows,
-    engine_scaling,
     feature_matrix,
     global_classifier,
     loo_classifiers,
@@ -22,7 +20,6 @@ from .tables import format_table, write_report
 
 __all__ = [
     "DEFAULT_TRAIN_CONFIG",
-    "EngineScalingRow",
     "RedundancyRow",
     "ServeThroughputRow",
     "StatsRow",
@@ -31,7 +28,6 @@ __all__ = [
     "cached_dataset",
     "clear_cache",
     "comparison_rows",
-    "engine_scaling",
     "feature_matrix",
     "format_table",
     "global_classifier",

@@ -143,116 +143,6 @@ def comparison_rows(
 
 
 @dataclass
-class EngineScalingRow:
-    """One (design, workers) measurement of the wave-rewrite engine.
-
-    ``workers == 0`` encodes the sequential baseline the speedups are
-    normalized against.
-    """
-
-    design: str
-    workers: int
-    runtime: float
-    n_ands: int
-    level: int
-    speedup: float  # sequential runtime / this runtime
-    n_waves: int = 0
-    n_stale: int = 0  # structurally 0 since the sequential fallback died
-    n_resnapshotted: int = 0  # cross-wave incremental snapshot refreshes
-    dedup_rate: float = 0.0  # evaluation tasks eliminated by dedup/cache
-    commits: int = 0
-    graph: AIG | None = None  # the optimized clone (for CEC by callers)
-
-
-def engine_scaling(
-    g: AIG,
-    workers_list: tuple[int, ...] = (1, 2, 4),
-    params=None,
-) -> list[EngineScalingRow]:
-    """Sequential ``rw`` vs the wave-rewrite engine at each worker count.
-
-    Every run starts from a fresh clone.  The first returned row
-    (``workers == 0``) is the sequential baseline; every engine row
-    carries its speedup against it.  Each timed run uses a private NPN
-    library so no run starts with another's canonization cache.
-    (``pf`` is not measured here: it runs ``rf`` at every width.)
-
-    Runtimes are the operators' own ``stats.time_total``, which the
-    :mod:`repro.obs` span instrumentation fills, so the numbers are
-    exactly the timings a trace export of the same run shows.
-    """
-    from ..engine import RewriteEngineParams, engine_rewrite
-    from ..factor.factoring import clear_factor_memo
-    from ..opt.npn_library import NpnLibrary
-    from ..opt.rewrite import rewrite as rewrite_pass
-    from ..tt.isop import clear_isop_memo
-
-    rewrite_params = params or RewriteEngineParams()
-
-    def run_baseline(clone):
-        return rewrite_pass(clone, rewrite_params.rewrite, library=NpnLibrary())
-
-    def run_engine(clone, workers):
-        return engine_rewrite(
-            clone,
-            RewriteEngineParams(
-                rewrite=rewrite_params.rewrite,
-                workers=workers,
-                library=NpnLibrary(),
-            ),
-        )
-
-    # One untimed full-size pass first: the first big pass of a process
-    # pays one-time costs (bytecode warmup, allocator arena growth) that
-    # would otherwise be billed entirely to whichever run goes first —
-    # historically the sequential baseline, inflating every speedup.
-    run_baseline(g.clone())
-
-    baseline_g = g.clone()
-    # Every timed run starts with cold process-wide ISOP and factoring
-    # memos, so the comparison is mode vs mode, not cold vs warm cache.
-    clear_isop_memo()
-    clear_factor_memo()
-    baseline_stats = run_baseline(baseline_g)
-    baseline_runtime = baseline_stats.time_total
-    rows = [
-        EngineScalingRow(
-            design=g.name,
-            workers=0,
-            runtime=baseline_runtime,
-            n_ands=baseline_g.n_ands,
-            level=baseline_g.max_level(),
-            speedup=1.0,
-            commits=baseline_stats.commits,
-            graph=baseline_g,
-        )
-    ]
-    for workers in workers_list:
-        engine_g = g.clone()
-        clear_isop_memo()
-        clear_factor_memo()
-        stats = run_engine(engine_g, workers)
-        runtime = stats.time_total
-        rows.append(
-            EngineScalingRow(
-                design=g.name,
-                workers=workers,
-                runtime=runtime,
-                n_ands=engine_g.n_ands,
-                level=engine_g.max_level(),
-                speedup=baseline_runtime / runtime if runtime > 0 else float("inf"),
-                n_waves=stats.n_waves,
-                n_stale=stats.n_stale,
-                n_resnapshotted=stats.n_resnapshotted,
-                dedup_rate=stats.dedup_rate,
-                commits=stats.commits,
-                graph=engine_g,
-            )
-        )
-    return rows
-
-
-@dataclass
 class ServeThroughputRow:
     """One circuit's outcome in a sharded serving run.
 

@@ -1,21 +1,21 @@
 """``repro.obs`` — unified tracing + metrics for every layer of repro.
 
-One lightweight, dependency-free observability spine shared by the wave
-engine, the flow/session layer and the serve tier:
+One lightweight, dependency-free observability spine shared by the
+operators, the engine pass, the flow/session layer and the serve tier:
 
 * **Spans** (:func:`span`) — hierarchical timed regions on
-  ``time.perf_counter`` with structured attributes.  The scheduler emits
-  one span per engine pass with child spans per phase and per wave;
-  sessions emit one span per flow command; the serve tier one per
-  circuit.  Tracing is *disabled by default*: the disabled span still
-  measures its duration (the stats fields the code always filled keep
+  ``time.perf_counter`` with structured attributes.  Operators emit one
+  span per pass (``pf`` wraps it in an ``engine.pass`` span); sessions
+  emit one span per flow command; the serve tier one per circuit.
+  Tracing is *disabled by default*: the disabled span still measures
+  its duration (the stats fields the code always filled keep
   their exact semantics) but records nothing.
 * **Metrics** (:func:`metrics`) — an always-on registry of counters /
   gauges / histograms (:mod:`repro.obs.metrics`).  A registry
   serializes to a :meth:`MetricsRegistry.snapshot` that another
   registry folds in with :meth:`MetricsRegistry.merge`.
 * **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
-  (load a flow in ``chrome://tracing`` / Perfetto and read waves off a
+  (load a flow in ``chrome://tracing`` / Perfetto and read passes off a
   timeline), Prometheus text format, and round-trippable JSONL; the
   ``python -m repro --trace out.json`` / ``--metrics out.prom`` flags
   drive them from the CLI.

@@ -1,10 +1,10 @@
 """Tracing core: hierarchical spans on ``time.perf_counter``.
 
-A span brackets one timed region — an engine pass, a wave, a flow
-command, a served circuit — and carries structured attributes.  Spans
-nest through a per-thread stack, so a wave span opened inside a pass
-span records the pass as its parent without any plumbing through the
-instrumented code.  All timestamps are monotonic
+A span brackets one timed region — an engine pass, an operator sweep, a
+flow command, a served circuit — and carries structured attributes.
+Spans nest through a per-thread stack, so an operator span opened inside
+a pass span records the pass as its parent without any plumbing through
+the instrumented code.  All timestamps are monotonic
 (:func:`time.perf_counter`), immune to wall-clock steps.
 
 Tracing is **disabled by default** and the disabled path is engineered
@@ -12,7 +12,7 @@ to vanish: :func:`repro.obs.span` then returns a :class:`DisabledSpan`
 that still measures its own duration (instrumented code reads
 ``span.duration`` into the stats fields it always filled) but records
 nothing, allocates no attribute dict, and never touches a lock.  The
-instrumentation sites sit at pass/wave/command granularity, so the
+instrumentation sites sit at pass/command granularity, so the
 residual cost — one small allocation plus the two ``perf_counter``
 calls the hand-rolled timers already paid — is far below the 2%
 budget the engine's timing-identity tests enforce.

@@ -8,7 +8,8 @@ a scraper, and offline tooling without re-running anything:
   — the trace-event format ``chrome://tracing`` and Perfetto load; every
   span becomes a complete (``"ph": "X"``) event with microsecond
   ``ts``/``dur`` relative to the tracer epoch, span attributes in
-  ``args``, and real pid/tid so waves nest visually under their pass.
+  ``args``, and real pid/tid so operator sweeps nest visually under
+  their flow command.
 * **Prometheus** (:func:`prometheus_text` / :func:`export_prometheus`)
   — the text exposition format: counters/gauges as single samples,
   histograms as cumulative ``_bucket{le=...}`` series plus ``_sum`` /

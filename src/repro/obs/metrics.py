@@ -159,7 +159,7 @@ class MetricsRegistry:
     """Named, labeled instruments with get-or-create semantics.
 
     One lock covers creation and every update — coarse, but the repo's
-    instruments update at wave/command/circuit granularity, far below
+    instruments update at pass/command/circuit granularity, far below
     contention range.  ``snapshot()``/``merge()`` are the cross-process
     delta format: a snapshot is a plain (JSON-able) dict, and merging
     adds counters, last-writes gauges and folds histogram moments, so

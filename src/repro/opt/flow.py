@@ -6,9 +6,8 @@ node counts, depths and runtimes — this powers the paper's claim that
 refactor consumes 20-40% of a resyn2-style flow despite running only
 twice (SS II).  ELF steps (``elf``/``elfz``) slot into the same scripts
 when a classifier is supplied.  The engine spellings
-(``pf``/``pelf``/``prw`` + zero-cost variants) accept ``-w N``: ``prw``
-runs conflict-free rewrite waves, and ``pf``/``pelf`` produce exactly
-``rf``/``elf``'s output at every width.
+(``pf``/``pelf``/``prw`` + zero-cost variants) accept ``-w N`` and
+produce exactly ``rf``/``elf``/``rw``'s output at every width.
 
 The execution machinery lives elsewhere: commands are *registered*
 :class:`repro.opt.registry.CommandSpec` entries (not a switch), and the
@@ -104,21 +103,22 @@ def run_flow(
     Commands: ``b`` (balance), ``rw``/``rwz`` (rewrite / zero-cost),
     ``rf``/``rfz`` (refactor / zero-cost; ``f``/``fz`` are aliases),
     ``rs``/``rsz`` (resub / zero-cost), ``elf``/``elfz`` (ELF-pruned
-    refactor; needs ``classifier``), ``pf``/``pfz`` and ``pelf``/``pelfz``
-    (aliases of ``rf``/``rfz`` and ``elf``/``elfz`` that accept ``-w``)
-    and ``prw``/``prwz`` (conflict-wave parallel rewrite) — plus
+    refactor; needs ``classifier``), and ``pf``/``pfz``,
+    ``pelf``/``pelfz`` and ``prw``/``prwz`` (aliases of ``rf``/``rfz``,
+    ``elf``/``elfz`` and ``rw``/``rwz`` that accept ``-w``) — plus
     anything else registered on ``registry`` (default: the process-wide
     :func:`repro.opt.registry.default_registry`).
     ``-l`` preserves levels where the operator supports it; the engine
-    commands accept ``-w N`` to pin the worker count (0 = one per core).
+    commands accept ``-w N`` (0 = one per core) and record it on their
+    stats, but it never changes the output.
     Unknown commands *and unsupported flags* raise
     :class:`repro.errors.ReproError`.
 
     This is the one-shot convenience wrapper over
     :class:`repro.opt.session.OptSession` — equivalent to running
     ``script`` inside ``OptSession(classifier=classifier, ...)``, so all
-    session guarantees apply: every refactor- and rewrite-family step of
-    the script shares one cross-pass
+    session guarantees apply: every refactor-family step of the script
+    shares one cross-pass
     :class:`repro.engine.ResynthCache` (created lazily on first demand;
     e.g. the second ``elf`` of ``elf; elf`` starts with every factored
     form the first derived), and ``engine_workers`` is the worker count

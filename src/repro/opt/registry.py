@@ -328,24 +328,6 @@ def _make_engine_refactor(elf: bool):
     return execute
 
 
-def _exec_engine_rewrite(g, ctx, flags):
-    from ..engine import RewriteEngineParams, engine_rewrite
-
-    stats = engine_rewrite(
-        g,
-        RewriteEngineParams(
-            rewrite=RewriteParams(
-                zero_cost=flags.zero_cost, preserve_levels=flags.preserve_levels
-            ),
-            workers=ctx.engine_workers(flags),
-            resynth_cache=ctx.resynth_cache,
-            library=ctx.npn_library,
-            deadline=ctx.deadline,
-        ),
-    )
-    return g, stats
-
-
 def _build_default_registry() -> CommandRegistry:
     registry = CommandRegistry()
     registry.register(
@@ -424,12 +406,11 @@ def _build_default_registry() -> CommandRegistry:
     registry.register(
         CommandSpec(
             name="prw",
-            execute=_exec_engine_rewrite,
+            execute=_exec_rewrite,
             zero_cost_pair=True,
             supports_levels=True,
             supports_workers=True,
-            uses_cache=True,
-            help="conflict-wave parallel rewriting",
+            help="alias of rw that accepts -w (same output at every width)",
         )
     )
     return registry

@@ -10,25 +10,17 @@ invalidated by earlier commits in the same pass are detected (dead
 leaves / uncovered cones) and skipped, which matches the greedy one-pass
 character of the original.
 
-The per-node work is split into three reusable phases shared with the
-conflict-wave engine (:mod:`repro.engine.operators`):
+The per-node work runs in three phases:
 
 * **snapshot** — :func:`usable_node_cuts` filters a node's enumerated
   cuts down to the live, >= 2-leaf ones (counting the stale rest);
 * **evaluate** — :func:`evaluate_cut` is the pure
-  ``truth table -> (library entry, NPN transform)`` lookup, the step the
-  engine batches and caches per wave;
+  ``truth table -> (library entry, NPN transform)`` lookup;
 * **commit** — :func:`commit_scored` gain-checks the cuts against the
   *current* graph (MFFC, strash-aware node count, optional
   required-level bound) and commits the best, exactly once.  It asks a
   per-cut resolver for the evaluate result only when the cut could
-  still win: the sequential sweep evaluates lazily there, the engine
-  hands over what it evaluated per wave.
-
-The sequential :func:`rewrite` composes the three per node; the wave
-scheduler runs snapshot once per candidate, evaluate once per wave and
-commit serially at replay.  Both paths therefore share one
-implementation of every graph-facing decision.
+  still win, so cuts that cannot are never evaluated.
 
 Most cuts cannot win, so :func:`commit_scored` is a branch-and-bound.
 A cut with MFFC size ``saved`` whose replacement adds ``cost`` nodes has
@@ -52,8 +44,7 @@ root's signature, no such literal exists and every cut costs at least
 * outside zero-cost mode, a node whose fanins are both primary inputs
   or shared has a one-node MFFC under every cut, so without a twin it
   is skipped outright (:func:`node_screened`, also counted in
-  ``screened``): the sequential sweep tests it before the cut snapshot,
-  the engine before ``commit_scored`` at replay.
+  ``screened``) before the cut snapshot.
 
 Every skip drops only cuts whose full-budget key could not strictly beat
 the cut that was kept, so the committed cut — and every output — is
@@ -154,20 +145,12 @@ def usable_node_cuts(
     return cuts, n_stale
 
 
-def evaluate_cut(tt: int, n_leaves: int, library: NpnLibrary, cache=None):
+def evaluate_cut(tt: int, n_leaves: int, library: NpnLibrary):
     """Evaluate phase: library entry + NPN transform for one cut function.
 
-    Pure in ``(tt, n_leaves)`` — no graph access — which is what lets the
-    wave engine batch it per wave.  ``cache`` — when given — routes the
-    resolution through a cross-pass memo layer
-    (:meth:`repro.engine.cache.ResynthCache.library_lookup`), which is
-    how the engine makes every distinct function canonize once per flow;
-    both paths run this one pad + lookup implementation.
+    Pure in ``(tt, n_leaves)`` — no graph access.
     """
-    tt4 = pad_tt(tt, n_leaves)
-    if cache is not None:
-        return cache.library_lookup(tt4, library)
-    return library.lookup(tt4)
+    return library.lookup(pad_tt(tt, n_leaves))
 
 
 def commit_scored(
@@ -180,28 +163,21 @@ def commit_scored(
     required: RequiredLevels | None,
     twins: TwinScreen,
     stats: RewriteStats,
-    dirty: set[int] | None = None,
 ) -> int | None:
     """Commit phase: branch-and-bound over ``cuts``, commit the best.
 
     ``resolve(i)`` lazily supplies cut ``i``'s ``(library entry, NPN
     transform)`` pair from :func:`evaluate_cut`, or ``None`` when the cut
-    turned out stale — the sequential sweep evaluates on demand, the
-    wave engine hands over what it evaluated per wave.  Everything
-    graph-dependent — the cut-bounded MFFC, the strash-aware node count,
-    the required-level bound and the final build/replace — is evaluated
-    here, against the graph as it is *now*, which is what makes the
-    function safe to defer to the wave engine's serial replay.  Returns
-    the realized gain (AND nodes removed) or ``None`` when no cut
-    commits.
+    turned out stale.  Everything graph-dependent — the cut-bounded
+    MFFC, the strash-aware node count, the required-level bound and the
+    final build/replace — is evaluated here, against the graph as it is
+    *now*.  Returns the realized gain (AND nodes removed) or ``None``
+    when no cut commits.
 
     ``twins`` — the pass's signature table — sets the cost-0 bound of
     the module docstring, and ``stats`` counts the cuts it skips in
-    ``screened`` / ``bounded`` (the engine passes its ``EngineStats``,
-    which has both counters); callers skip whole nodes beforehand with
-    :func:`node_screened`.  ``dirty`` — when given — accumulates the node
-    kills this commit journaled, mirroring
-    :func:`repro.opt.refactor.commit_tree`.
+    ``screened`` / ``bounded``; callers skip whole nodes beforehand with
+    :func:`node_screened`.
     """
     c_min = 0 if twins.has_twin(node) else 1
     best = None  # ((gain, -cost), tree, arranged_lits, out_invert)
@@ -245,8 +221,6 @@ def commit_scored(
         return None
     before = g.n_ands
     g.replace(node, lit_not(built) if out_invert else built)
-    if dirty is not None:
-        dirty.update(g.drain_dirty().killed)
     return before - g.n_ands
 
 

@@ -206,9 +206,9 @@ class OptSession:
         """Whether ``width`` selects the parallel engine (``width >= 2``).
 
         Serving layers and benchmarks call this before the first circuit.
-        The engine has no worker pool to start — ``pf`` / ``pelf`` run
-        the sequential sweep at every width and ``prw`` waves run
-        in-process — so nothing is allocated.
+        The engine has no worker pool to start — ``pf`` / ``pelf`` /
+        ``prw`` run the sequential sweep at every width — so nothing is
+        allocated.
         """
         return width >= 2
 

@@ -4,7 +4,7 @@ Three small modules, shared by every layer that can fail:
 
 * :mod:`repro.resilience.deadline` — :class:`Deadline` latency budgets,
   created at the serve tier and threaded down through
-  :meth:`repro.opt.OptSession.run` and the wave scheduler, so one SLA
+  :meth:`repro.opt.OptSession.run` and the engine pass, so one SLA
   bounds the whole stack and expiry surfaces as a typed
   :class:`repro.errors.DeadlineExceeded` carrying the best consistent
   prefix result instead of a hang.

@@ -9,9 +9,10 @@ per-layer timeouts that can sum past the SLA.  Checkpoints call
 naming the site; a blocking wait bounds itself with
 :meth:`Deadline.bound` so it can never sleep past the budget.
 
-Expiry is graceful, never a hang and never a torn result: wave commits
-are serial, so the layer that observes expiry abandons only *uncommitted*
-work — the graph at that instant reflects a consistent prefix of commits
+Expiry is graceful, never a hang and never a torn result: commits are
+serial and checkpoints sit between flow steps and before engine passes,
+so the layer that observes expiry abandons only *uncommitted* work — the
+graph at that instant reflects a consistent prefix of commits
 (CEC-verifiable), which the flow layer attaches to the exception as
 ``DeadlineExceeded.partial``.
 

@@ -15,8 +15,8 @@ is visible in any Prometheus/JSONL export:
 * ``engine_retries_total`` — shard respawn rounds;
 * ``engine_degradations_total{to=...}`` — fallbacks taken
   (``to="in-process"`` for a shard given up on);
-* ``serve_deadline_exceeded_total`` / ``engine_deadline_exceeded_total``
-  — budgets that expired (recorded where they were observed).
+* ``serve_deadline_exceeded_total`` — budgets that expired (recorded
+  where they were observed).
 """
 
 from __future__ import annotations

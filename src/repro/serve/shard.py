@@ -119,16 +119,16 @@ class ServeParams:
     """Serving-run configuration.
 
     ``flow`` is any :func:`repro.opt.flow.run_flow` script.  ``workers``
-    is applied to engine commands without an explicit ``-w``; at
-    ``workers=1`` every engine command is bit-identical to its
-    sequential operator (``pf`` / ``pelf`` are at any width).
+    is applied to engine commands without an explicit ``-w``; every
+    engine command (``pf`` / ``pelf`` / ``prw``) is bit-identical to its
+    sequential operator at any width.
 
     ``circuit_timeout_s`` is the per-circuit latency budget: a
-    :class:`repro.resilience.Deadline` checked between flow steps and at
-    every ``prw`` wave boundary, so one pathological circuit cannot stall
-    its shard for long.  A circuit that blows the
-    budget still yields a *valid* result — engine commits are serial, so
-    the best committed prefix is CEC-equivalent to the input — marked
+    :class:`repro.resilience.Deadline` checked between flow steps and
+    before every ``pf`` / ``pelf`` pass, so one pathological circuit
+    cannot stall its shard for longer than one step.  A circuit that
+    blows the budget still yields a *valid* result — commits are serial,
+    so the best committed prefix is CEC-equivalent to the input — marked
     ``deadline_exceeded`` and counted ``serve_deadline_exceeded_total``.
     ``None`` (the default) serves without a budget.
 

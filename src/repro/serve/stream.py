@@ -16,8 +16,8 @@ Two properties the tests pin down:
 * **Content determinism.**  Completion *order* depends on timing, but
   each circuit's *result* does not: flows run on private clones, fused
   classification preserves per-circuit semantics exactly, and ``pf`` /
-  ``pelf`` run the sequential operators at every width (``prw`` does at
-  ``workers=1``) — so a served circuit's BENCH text is byte-identical to
+  ``pelf`` / ``prw`` run the sequential operators at every width — so a
+  served circuit's BENCH text is byte-identical to
   a blocking ``run_flow`` of the same script on that circuit alone.
 * **Isolation.**  A circuit whose flow raises reports the error in its
   result; the other circuits of the shard still complete (the failed

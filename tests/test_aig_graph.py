@@ -272,8 +272,7 @@ class TestReplace:
 
 
 class TestDirtyJournal:
-    """The per-epoch structural-damage journal behind the engine's
-    incremental cross-wave re-snapshot."""
+    """The per-epoch structural-damage journal (``AIG.drain_dirty``)."""
 
     def test_fresh_graph_journal_is_empty_after_drain(self):
         g = random_aig(6, 40, 3, seed=1)

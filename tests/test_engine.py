@@ -1,37 +1,24 @@
 """Tests for the engine commands.
 
 ``pf`` / ``pelf`` (:func:`repro.engine.engine_refactor`) run the
-sequential operators at every width; ``prw``
-(:func:`repro.engine.engine_rewrite`) runs the conflict-wave scheduler,
-whose conflict planning and incremental re-snapshot are tested here on
-arithmetic circuits whose outputs are not constant.
+sequential operators at every width; they are tested here on arithmetic
+circuits whose outputs are not constant.  ``prw`` / ``prwz`` are
+registry aliases of ``rw`` / ``rwz``, tested with the rewrite operator.
 """
 
 import pytest
 
 from repro.aig.io_bench import to_text
-from repro.aig.mffc import mffc_nodes
 from repro.circuits.arith import divider, hypotenuse, isqrt
-from repro.cuts.reconv import reconv_cut
 from repro.elf import ElfClassifier
-from repro.engine import (
-    Candidate,
-    EngineParams,
-    EngineStats,
-    RewriteEngineParams,
-    build_conflict_graph,
-    color_waves,
-    engine_refactor,
-    engine_rewrite,
-)
+from repro.engine import EngineParams, EngineStats, engine_refactor
 from repro.errors import ReproError
 from repro.ml import MLP
 from repro.opt import RefactorParams, refactor, run_flow
-from repro.opt.rewrite import rewrite
 from repro.verify import equivalent
 from repro.verify.cec import exhaustive_pi_patterns
 
-from .util import po_truth_tables, random_aig
+from .util import po_truth_tables, random_aig, shared_input_arith
 
 
 def constant_classifier(keep_everything=True):
@@ -40,75 +27,6 @@ def constant_classifier(keep_everything=True):
         w[:] = 0.0
     model.biases[-1][:] = 10.0 if keep_everything else -10.0
     return ElfClassifier(model, threshold=0.5)
-
-
-def snapshot_candidates(g, max_leaves=10):
-    """The engine's phase-1 snapshot, reproduced for white-box tests."""
-    candidates = []
-    for node in g.and_ids():
-        cut = reconv_cut(g, node, max_leaves, collect_features=False)
-        if cut.n_leaves < 2:
-            continue
-        candidates.append(
-            Candidate(
-                node=node,
-                leaves=tuple(cut.leaves),
-                interior=frozenset(cut.interior),
-                mffc=frozenset(mffc_nodes(g, node, boundary=set(cut.leaves))),
-            )
-        )
-    return candidates
-
-
-def rewrite_waves(g, workers=2):
-    """One ``prw`` pass over ``g`` in place; returns its stats."""
-    return engine_rewrite(g, RewriteEngineParams(workers=workers))
-
-
-class TestConflictGraph:
-    def test_waves_are_mffc_disjoint(self):
-        g = divider(5)
-        candidates = snapshot_candidates(g)
-        adjacency, n_edges = build_conflict_graph(candidates)
-        waves = color_waves(adjacency)
-        assert n_edges > 0  # a dense circuit must have real conflicts
-        for wave in waves:
-            for pos, i in enumerate(wave):
-                for j in wave[pos + 1 :]:
-                    assert not (candidates[i].mffc & candidates[j].mffc), (
-                        candidates[i].node,
-                        candidates[j].node,
-                    )
-
-    def test_waves_partition_candidates(self):
-        g = random_aig(8, 200, 6, seed=2)
-        candidates = snapshot_candidates(g)
-        adjacency, _ = build_conflict_graph(candidates)
-        waves = color_waves(adjacency)
-        flat = sorted(i for wave in waves for i in wave)
-        assert flat == list(range(len(candidates)))
-
-    def test_conflicting_pair_separated(self):
-        g = random_aig(8, 200, 6, seed=3)
-        candidates = snapshot_candidates(g)
-        adjacency, _ = build_conflict_graph(candidates)
-        waves = color_waves(adjacency)
-        color_of = {}
-        for color, wave in enumerate(waves):
-            for i in wave:
-                color_of[i] = color
-        for i, neighbors in enumerate(adjacency):
-            for j in neighbors:
-                assert color_of[i] != color_of[j]
-
-    def test_footprint_covers_cone_and_mffc(self):
-        c = Candidate(
-            node=9,
-            leaves=(2, 3),
-            interior=frozenset({9, 7}),
-            mffc=frozenset({9, 8}),
-        )
-        assert c.footprint == {2, 3, 7, 8, 9}
 
 
 class TestWorkersOneParity:
@@ -193,9 +111,7 @@ class TestWaveEngine:
     def test_acceptance_5k_nodes_workers_4(self):
         """A 5k-node circuit at 4 workers: byte-identical to sequential
         refactor and CEC-equivalent to its input."""
-        from repro.circuits import layered_random_aig
-
-        g = layered_random_aig(14, 5500, seed=11)
+        g = shared_input_arith()
         assert g.n_ands >= 5000
         sequential, engine = g.clone(), g.clone()
         refactor(sequential)
@@ -264,93 +180,6 @@ class TestExhaustiveSimCec:
         # Flip one PO's phase: a guaranteed functional difference.
         h.set_po(0, h.pos[0] ^ 1)
         assert not equivalent(g, h, method="exhaustive-sim")
-
-
-class TestPipelineIntegration:
-    def test_engine_scaling_rows(self):
-        from repro.harness import engine_scaling
-
-        g = divider(5)
-        rows = engine_scaling(g, workers_list=(1, 2))
-        assert [r.workers for r in rows] == [0, 1, 2]
-        assert rows[0].speedup == 1.0
-        assert rows[1].n_ands == rows[0].n_ands  # workers=1 delegates
-        for row in rows[1:]:
-            assert row.runtime > 0 and row.speedup > 0
-
-
-def crafted_stale_circuit(n=10):
-    """Interleaved xor/majority towers sharing leaves: early-wave commits
-    restructure shared cones, forcing cross-wave snapshot invalidation."""
-    from repro.aig.graph import AIG
-
-    g = AIG("crafted-stale")
-    xs = [g.add_pi(f"x{i}") for i in range(n)]
-    carry = xs[0]
-    for i in range(1, n):
-        s = g.add_xor(carry, xs[i])
-        maj = g.add_or(g.add_and(carry, xs[i]), g.add_and(s, xs[(i + 1) % n]))
-        t = g.add_xor(s, maj)
-        carry = g.add_or(g.add_and(t, s), g.add_and(maj, xs[i - 1]))
-        g.add_po(t, f"t{i}")
-    g.add_po(carry, "carry")
-    return g
-
-
-class TestIncrementalResnapshot:
-    """Cross-wave invalidation on ``prw``: the re-snapshot pipeline that
-    replaced the sequential fallback."""
-
-    def test_crafted_staleness_is_resnapshotted_not_replayed(self):
-        g = crafted_stale_circuit(10)
-        eng = g.clone()
-        stats = rewrite_waves(eng)
-        assert stats.n_stale == 0  # the fallback path no longer exists
-        assert stats.n_resnapshotted > 0  # staleness really occurred
-        assert stats.n_invalidated >= stats.n_resnapshotted
-        assert equivalent(g, eng, method="exhaustive")
-
-    def test_incremental_path_is_deterministic_bench_identical(self):
-        g = crafted_stale_circuit(10)
-        first, second = g.clone(), g.clone()
-        s1 = rewrite_waves(first)
-        s2 = rewrite_waves(second)
-        assert s1.n_resnapshotted == s2.n_resnapshotted > 0
-        assert to_text(first) == to_text(second)
-
-    def test_quality_tracks_sequential_on_stale_heavy_circuit(self):
-        g = divider(5)
-        sequential, eng = g.clone(), g.clone()
-        rewrite(sequential)
-        stats = rewrite_waves(eng)
-        assert stats.n_stale == 0
-        assert stats.n_resnapshotted > 0
-        assert equivalent(g, eng, method="exhaustive")
-        diff = abs(eng.n_ands - sequential.n_ands) / max(1, sequential.n_ands)
-        assert diff <= 0.02, (eng.n_ands, sequential.n_ands)
-
-    def test_stats_invariants_with_repair_waves(self):
-        g = isqrt(6)
-        stats = rewrite_waves(g)
-        # Roots whose cuts all went stale are visited but try nothing.
-        assert stats.commits + stats.fail_gain <= stats.nodes_visited
-        assert stats.n_waves >= stats.n_repair_waves > 0
-        assert 0.0 < stats.resnapshot_rate <= 1.0
-        assert stats.n_unique_tasks <= stats.n_tasks
-
-    def test_candidate_index_invalidation_lookup(self):
-        from repro.engine import CandidateIndex
-
-        c0 = Candidate(node=9, leaves=(2, 3), interior=frozenset({9, 7}), mffc=frozenset({9}))
-        c1 = Candidate(node=12, leaves=(4, 5), interior=frozenset({12}), mffc=frozenset({12}))
-        index = CandidateIndex()
-        index.add(0, c0)
-        index.add(1, c1)
-        pending = {0, 1}
-        assert index.invalidated({7}, pending) == {0}
-        assert index.invalidated({4}, pending) == {1}  # leaf death counts
-        assert index.invalidated({99}, pending) == set()
-        assert index.invalidated({7, 4}, {1}) == {1}  # pending-filtered
 
 
 class TestResynthCache:

@@ -2,7 +2,7 @@
 
 Covers the registry (instruments, snapshot/merge), the span core
 (nesting, disabled fast path), every exporter's format contract, and
-the end-to-end trace of a ``prw -w 2`` flow (span hierarchy, phase
+the end-to-end trace of a ``pf -w 2`` flow (span hierarchy, phase
 coverage, counter/stats agreement, CLI ``--trace``).  Flows run on the
 ``screen_circuits`` fixtures, whose outputs are not constant.
 """
@@ -374,7 +374,7 @@ class TestRegistryBackedStats:
 class TestFlowTraceIntegration:
     def _traced_parallel_flow(self):
         obs.configure(enabled=True)
-        out, report = run_flow(divider(5), "prw -w 2")
+        out, report = run_flow(divider(5), "pf -w 2")
         return out, report
 
     def test_span_hierarchy_and_census(self):
@@ -389,16 +389,11 @@ class TestFlowTraceIntegration:
         (engine_pass,) = by_name["engine.pass"]
         assert flow_cmd.parent_id == flow_run.span_id
         assert engine_pass.parent_id == flow_cmd.span_id
-        assert len(by_name["engine.wave"]) == stats.n_waves
-        for wave in by_name["engine.wave"]:
-            assert wave.parent_id == engine_pass.span_id
-        assert len(by_name["engine.snapshot"]) == 1
-        assert len(by_name["engine.conflict"]) == 1
-        # evaluate/commit are children of their wave.
-        wave_ids = {w.span_id for w in by_name["engine.wave"]}
-        for name in ("engine.evaluate", "engine.commit"):
-            for span in by_name[name]:
-                assert span.parent_id in wave_ids
+        assert engine_pass.attrs["workers"] == stats.workers == 2
+        assert engine_pass.attrs["commits"] == stats.commits > 0
+        # The sequential sweep is the pass's one child.
+        (sweep,) = by_name["opt.refactor"]
+        assert sweep.parent_id == engine_pass.span_id
 
     def test_phase_durations_cover_the_pass(self):
         self._traced_parallel_flow()
@@ -415,22 +410,28 @@ class TestFlowTraceIntegration:
         reg = obs.metrics()
         op = {"operator": stats.operator}
         assert reg.value("engine_passes_total", **op) == 1
-        assert reg.value("engine_waves_total", **op) == stats.n_waves
+        assert reg.value("engine_waves_total", **op) == stats.n_waves == 1
         assert reg.value("engine_commits_total", **op) == stats.commits
-        assert reg.value("engine_tasks_total", **op) == stats.n_tasks
-        assert reg.value("engine_unique_tasks_total", **op) == stats.n_unique_tasks
-        assert reg.value("flow_commands_total", command="prw") == 1
+        assert reg.value("engine_screened_total", **op) == stats.screened
+        assert (
+            reg.value("engine_cache_hits_total", layer="exact", **op)
+            == stats.n_cache_hits
+        )
+        assert reg.value("flow_commands_total", command="pf") == 1
 
     def test_stats_timing_fields_are_span_durations(self):
         _, report = self._traced_parallel_flow()
         stats = report.steps[0].detail
         spans = obs.tracer().spans()
+        (sweep,) = [s for s in spans if s.name == "opt.refactor"]
+        assert stats.time_total == pytest.approx(sweep.duration)
         (engine_pass,) = [s for s in spans if s.name == "engine.pass"]
-        assert stats.time_total == pytest.approx(engine_pass.duration)
-        (snap,) = [s for s in spans if s.name == "engine.snapshot"]
-        assert stats.time_snapshot == pytest.approx(snap.duration)
-        commit_total = sum(s.duration for s in spans if s.name == "engine.commit")
-        assert stats.time_replay == pytest.approx(commit_total)
+        assert stats.time_total <= engine_pass.duration
+        hist = obs.metrics().histogram(
+            "engine_pass_seconds", operator=stats.operator, workers="2"
+        )
+        assert hist.count == 1
+        assert hist.sum == pytest.approx(stats.time_total)
 
     def test_chrome_export_of_flow_is_valid(self, tmp_path):
         self._traced_parallel_flow()
@@ -439,7 +440,7 @@ class TestFlowTraceIntegration:
         obj = json.loads(path.read_text())
         assert obs.validate_chrome_trace(obj) == []
         names = {e["name"] for e in obj["traceEvents"] if e.get("ph") == "X"}
-        assert {"flow.run", "flow.command", "engine.pass", "engine.wave"} <= names
+        assert {"flow.run", "flow.command", "engine.pass", "opt.refactor"} <= names
 
     def test_disabled_tracing_keeps_flow_output_identical(self, screen_circuits):
         from repro.aig.io_bench import to_text

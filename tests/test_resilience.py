@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.engine import EngineParams, RewriteEngineParams, engine_refactor, engine_rewrite
+from repro.engine import EngineParams, engine_refactor
 from repro.errors import DeadlineExceeded, FatalError, ReproError, RetryableError
 from repro.opt.session import OptSession
 from repro.resilience import (
@@ -71,8 +71,8 @@ class TestErrorTaxonomy:
         assert not issubclass(FatalError, RetryableError)
 
     def test_deadline_exceeded_payload(self):
-        error = DeadlineExceeded("late", site="engine.wave")
-        assert error.site == "engine.wave"
+        error = DeadlineExceeded("late", site="engine.pass")
+        assert error.site == "engine.pass"
         assert error.partial is None
         assert error.report is None
         assert isinstance(error, ReproError)
@@ -274,19 +274,6 @@ class TestDeadlinePropagation:
         assert done == ["b", "rw", "rf", "rw", "rf"][: len(done)]
         # The partial is a valid network, CEC-clean against the input.
         assert equivalent(g, error.partial)
-
-    def test_engine_wave_deadline_mid_pass(self, screen_circuits):
-        g = screen_circuits["div"]
-        out = g.clone()
-        # Generous fake budget: survives the first waves, expires
-        # across the wave loop's checks.
-        deadline = Deadline(6.0, clock=FakeClock())
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            engine_rewrite(out, RewriteEngineParams(workers=2, deadline=deadline))
-        assert excinfo.value.site == "engine.wave"
-        # Commits are serial: whatever prefix landed is consistent.
-        assert equivalent(g, out)
-        assert obs.metrics().value("engine_deadline_exceeded_total") == 1
 
     def test_expired_deadline_refuses_sequential_delegation(self, screen_circuits):
         g = screen_circuits["div"].clone()

@@ -56,3 +56,36 @@ def random_aig(
 
     cleanup(g)
     return g
+
+
+def shared_input_arith(width: int = 8, name: str = "arith-5k") -> AIG:
+    """Four arithmetic datapaths side by side on one set of ``2 * width`` PIs.
+
+    Hypotenuse, log2, divider and multiplier read the same inputs, so
+    the result has over 5,000 ANDs at ``width=8`` while keeping 16 PIs
+    (exact CEC by exhaustive simulation), and its outputs are not
+    constant.
+    """
+    from repro.circuits.arith import divider, hypotenuse, log2_approx, multiplier
+
+    parts = (
+        hypotenuse(width),
+        log2_approx(2 * width, 2 * width),
+        divider(width),
+        multiplier(width),
+    )
+    g = AIG(name)
+    pis = [g.add_pi(f"x{i}") for i in range(2 * width)]
+    for part in parts:
+        lit_of = {0: 0}
+        for pi, lit in zip(part.pis, pis):
+            lit_of[pi] = lit
+
+        def mapped(lit: int) -> int:
+            return lit_of[lit_node(lit)] ^ (lit & 1)
+
+        for node in part.and_ids():
+            lit_of[node] = g.add_and(mapped(part.fanin0(node)), mapped(part.fanin1(node)))
+        for index, lit in enumerate(part.pos):
+            g.add_po(mapped(lit), f"{part.name}_{part.po_name(index)}")
+    return g

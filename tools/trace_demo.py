@@ -1,14 +1,13 @@
 """Observability demo (``make trace-demo``).
 
-Runs a wave-rewrite flow on a synthetic circuit with
-:mod:`repro.obs` tracing on, then writes and summarizes every export
-format the subsystem ships:
+Runs ``b; rw; b; pf`` on an arithmetic circuit whose outputs are not
+constant (a 6-bit hypotenuse) with :mod:`repro.obs` tracing on, then
+writes and summarizes every export format the subsystem ships:
 
 * ``benchmarks/results/trace_demo.json`` — Chrome trace-event JSON.
   Open it in ``chrome://tracing`` or https://ui.perfetto.dev to read the
   flow as a timeline: one ``flow.command`` bar per command, with the
-  engine pass's snapshot / conflict / wave / evaluate / commit children
-  nested below it.
+  operator sweep (and ``pf``'s ``engine.pass``) nested below it.
 * ``benchmarks/results/trace_demo.jsonl`` — the same spans plus the
   metrics registry as line-delimited JSON (machine-diffable).
 * ``benchmarks/results/trace_demo.prom`` — the metrics registry in
@@ -28,16 +27,16 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro import obs, run_flow  # noqa: E402
-from repro.circuits import layered_random_aig  # noqa: E402
+from repro.circuits.arith import hypotenuse  # noqa: E402
 
-FLOW = "b; prw -w 2; b; pf"
+FLOW = "b; rw; b; pf"
 
 
 def main() -> int:
     out_dir = REPO / "benchmarks" / "results"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    g = layered_random_aig(n_pis=12, n_ands=900, seed=7, name="trace-demo")
+    g = hypotenuse(6, name="trace-demo")
     obs.reset()
     obs.configure(enabled=True)
     n_before = g.n_ands
@@ -64,7 +63,6 @@ def main() -> int:
     for metric in (
         "engine_waves_total",
         "engine_commits_total",
-        "engine_tasks_total",
         "flow_commands_total",
     ):
         print(f"  {metric:<28} {registry.total(metric):.0f}")
