@@ -9,8 +9,10 @@ request.
 """
 
 import asyncio
+import gc
 import multiprocessing
 import os
+import queue
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from repro.serve import (
     serve_suite_procs,
 )
 from repro.serve import store as store_module
+from repro.serve.proc import _shard_worker_main
 from repro.serve.shard import run_circuit
 from repro.serve.service import (
     OptimizeService,
@@ -65,6 +68,25 @@ class TestServeSuiteProcs:
         for r in report.results:
             assert r.ok and not r.cached
             assert r.bench_text == expected[r.name], r.name
+
+    def test_shard_worker_freezes_its_heap_after_each_circuit(self):
+        """What survives a circuit (the memos) leaves the collector's view,
+        so later full collections do not rescan it; the reply is unchanged."""
+        suite = small_suite(1)
+        inbox, outbox = queue.Queue(), queue.Queue()
+        inbox.put((7, "c0", to_text(suite["c0"]), None, None))
+        inbox.put(None)
+        assert gc.get_freeze_count() == 0
+        try:
+            _shard_worker_main(0, ServeParams(flow=FLOW, workers=1), None, None, inbox, outbox)
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+            faults.clear()
+        req_id, payload = outbox.get_nowait()
+        assert req_id == 7
+        assert payload["bench_text"] == blocking_texts(suite)["c0"]
+        assert frozen > 0
 
     def test_warm_pass_serves_every_circuit_from_cache(self):
         suite = small_suite()
